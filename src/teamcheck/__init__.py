@@ -12,7 +12,6 @@ from .evaluator import (
     Engine,
     check,
     check_fo_tarski,
-    choose_engine,
     find_dep_violation,
     run_check,
 )

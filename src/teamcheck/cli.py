@@ -123,8 +123,6 @@ def _resolve_budget(value: int) -> int | None:
 
 
 def cmd_check(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     structure, team, formula = _load_instance(args)
     outcome = run_check(
         structure, team, formula, _ENGINES[args.engine], _resolve_budget(args.budget)
@@ -255,12 +253,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("team_file")
     check.add_argument("formula_file")
     add_engine_flags(check)
-    check.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count hint; evaluation output is identical at any value",
-    )
     check.set_defaults(func=cmd_check)
 
     params = sub.add_parser("params", help="report the nine instance parameters")
@@ -284,7 +276,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--engine", choices=sorted(_ENGINES), default="opt", help="engine (default: opt)"
     )
     bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    bench.add_argument("--seed", type=int, default=0, help="seed for randomized families")
     bench.add_argument("--out", help="CSV output path (default: stdout)")
     bench.set_defaults(func=cmd_bench)
     return parser
@@ -308,6 +299,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: formula is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

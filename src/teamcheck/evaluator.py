@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .model import Assignment, Structure, Team
 from .syntax import (
@@ -86,10 +85,11 @@ class _Run:
         if self.budget is not None and self.expansions > self.budget:
             raise BudgetExceededError(self.budget)
 
-    def fv(self, formula: Formula) -> frozenset[str]:
+    def fv(self, formula: Formula) -> tuple[str, ...]:
+        """The formula's free variables, sorted."""
         cached = self._fv.get(formula)
         if cached is None:
-            cached = free_variables(formula)
+            cached = tuple(sorted(free_variables(formula)))
             self._fv[formula] = cached
         return cached
 
@@ -125,6 +125,40 @@ def _extension(domain: tuple, pos: dict, var: str):
         return row + (value,)
 
     return domain + (var,), new_pos, extend
+
+
+# --- shared atom evaluation ----------------------------------------------------
+
+def _literal_holds(f: Formula, st: Structure, pos: dict, rows) -> bool:
+    """Whether every row satisfies an equality or (negated) relation atom."""
+    if isinstance(f, Equality):
+        for row in rows:
+            if _term_value(f.left, st, pos, row) != _term_value(f.right, st, pos, row):
+                return False
+        return True
+    table = st.relations[f.name]
+    for row in rows:
+        held = _tuple_value(f.args, st, pos, row) in table
+        if held == f.negated:
+            return False
+    return True
+
+
+def _dep_conflicts(atom: DepAtom, st: Structure, pos: dict, rows):
+    """Violations of a dependence atom, found in one grouping pass.
+
+    For each antecedent group that is not constant on the consequent,
+    yield the group's first row and the first later row of that group
+    whose consequent differs from it ("first" in the order of `rows`).
+    """
+    first: dict = {}
+    for row in rows:
+        antecedent = _tuple_value(atom.antecedent, st, pos, row)
+        consequent = _tuple_value(atom.consequent, st, pos, row)
+        seen = first.setdefault(antecedent, (row, consequent))
+        if seen is not None and seen[1] != consequent:
+            first[antecedent] = None  # one pair per group
+            yield seen[0], row
 
 
 # --- naive engine ------------------------------------------------------------
@@ -219,29 +253,10 @@ def _opt(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> bo
 
 def _opt_eval(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> bool:
     st = run.structure
-    if isinstance(f, Equality):
-        for row in rows:
-            if _term_value(f.left, st, pos, row) != _term_value(f.right, st, pos, row):
-                return False
-        return True
-    if isinstance(f, RelAtom):
-        table = st.relations[f.name]
-        for row in rows:
-            held = _tuple_value(f.args, st, pos, row) in table
-            if held == f.negated:
-                return False
-        return True
+    if isinstance(f, (Equality, RelAtom)):
+        return _literal_holds(f, st, pos, rows)
     if isinstance(f, DepAtom):
-        seen: dict = {}
-        for row in rows:
-            antecedent = _tuple_value(f.antecedent, st, pos, row)
-            consequent = _tuple_value(f.consequent, st, pos, row)
-            previous = seen.get(antecedent)
-            if previous is None:
-                seen[antecedent] = consequent
-            elif previous != consequent:
-                return False
-        return True
+        return next(_dep_conflicts(f, st, pos, rows), None) is None
     if isinstance(f, And):
         return _opt(run, f.left, domain, pos, rows) and _opt(
             run, f.right, domain, pos, rows
@@ -279,44 +294,34 @@ def _opt_eval(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) 
 
 # --- classical engine ----------------------------------------------------------
 
-def _fo(run: _Run, f: Formula, env: dict[str, int]) -> bool:
-    key = (f, tuple(sorted((v, env[v]) for v in run.fv(f))))
+def _fo(run: _Run, f: Formula, domain: tuple, pos: dict, row: tuple) -> bool:
+    key = (f, tuple(row[pos[v]] for v in run.fv(f)))
     memo = run.memo
     if key in memo:
         return memo[key]
     run.tick()
-    result = _fo_eval(run, f, env)
+    result = _fo_eval(run, f, domain, pos, row)
     memo[key] = result
     return result
 
 
-def _fo_eval(run: _Run, f: Formula, env: dict[str, int]) -> bool:
+def _fo_eval(run: _Run, f: Formula, domain: tuple, pos: dict, row: tuple) -> bool:
     st = run.structure
-    if isinstance(f, Equality):
-        return _term_value_env(f.left, st, env) == _term_value_env(f.right, st, env)
-    if isinstance(f, RelAtom):
-        held = tuple(_term_value_env(a, st, env) for a in f.args) in st.relations[f.name]
-        return held != f.negated
+    if isinstance(f, (Equality, RelAtom)):
+        return _literal_holds(f, st, pos, (row,))
     if isinstance(f, And):
-        return _fo(run, f.left, env) and _fo(run, f.right, env)
+        return _fo(run, f.left, domain, pos, row) and _fo(run, f.right, domain, pos, row)
     if isinstance(f, Or):
-        return _fo(run, f.left, env) or _fo(run, f.right, env)
-    if isinstance(f, Exists):
-        return any(_fo(run, f.body, {**env, f.var: a}) for a in range(st.size))
-    if isinstance(f, Forall):
-        return all(_fo(run, f.body, {**env, f.var: a}) for a in range(st.size))
+        return _fo(run, f.left, domain, pos, row) or _fo(run, f.right, domain, pos, row)
+    if isinstance(f, (Exists, Forall)):
+        new_domain, new_pos, extend = _extension(domain, pos, f.var)
+        combine = any if isinstance(f, Exists) else all
+        return combine(
+            _fo(run, f.body, new_domain, new_pos, extend(row, a)) for a in range(st.size)
+        )
     if isinstance(f, DepAtom):
         raise ValueError("classical engine reached a dependence atom")
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _term_value_env(term: Term, structure: Structure, env: Mapping[str, int]) -> int:
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, Const):
-        return structure.constants[term.name]
-    args = tuple(_term_value_env(a, structure, env) for a in term.args)
-    return structure.functions[term.name][args]
 
 
 # --- validation and entry points ------------------------------------------------
@@ -362,9 +367,18 @@ def _validate_symbols(f: Formula, structure: Structure) -> None:
 
 
 def resolve_engine(engine: Engine, formula: Formula) -> Engine:
+    """The engine `auto` stands for: classical evaluation only for
+    dependence-free formulas (constancy atoms still need a team engine)."""
     if engine is not Engine.AUTO:
         return engine
     return Engine.OPTIMIZED if has_dependence_atoms(formula) else Engine.FO_TARSKI
+
+
+def _check_inputs(structure: Structure, team: Team, formula: Formula) -> None:
+    missing = free_variables(formula) - set(team.domain)
+    if missing:
+        raise ValueError(f"team domain is missing free variables {sorted(missing)}")
+    _validate_symbols(formula, structure)
 
 
 def run_check(
@@ -380,10 +394,7 @@ def run_check(
     (extra team variables are fine), and every symbol of the formula must
     be interpreted by the structure.
     """
-    missing = free_variables(formula) - set(team.domain)
-    if missing:
-        raise ValueError(f"team domain is missing free variables {sorted(missing)}")
-    _validate_symbols(formula, structure)
+    _check_inputs(structure, team, formula)
     resolved = resolve_engine(engine, formula)
     if resolved is Engine.FO_TARSKI and has_dependence_atoms(formula):
         raise ValueError("fo_tarski engine requires a dependence-atom-free formula")
@@ -395,11 +406,9 @@ def run_check(
     elif resolved is Engine.OPTIMIZED:
         satisfied = _opt(run, formula, team.domain, pos, team.rows)
     else:
-        satisfied = True
-        for row in team.sorted_rows():
-            if not _fo(run, formula, dict(zip(team.domain, row))):
-                satisfied = False
-                break
+        satisfied = all(
+            _fo(run, formula, team.domain, pos, row) for row in team.sorted_rows()
+        )
     return CheckOutcome(satisfied, resolved, run.expansions)
 
 
@@ -420,49 +429,18 @@ def check_fo_tarski(
     budget: int | None = None,
 ) -> bool:
     """Classical single-assignment satisfaction for dependence-atom-free formulas."""
-    if has_dependence_atoms(formula):
-        raise ValueError("fo_tarski engine requires a dependence-atom-free formula")
-    missing = free_variables(formula) - set(assignment.domain)
-    if missing:
-        raise ValueError(f"assignment is missing free variables {sorted(missing)}")
-    _validate_symbols(formula, structure)
-    run = _Run(structure, budget, memoized=True)
-    return _fo(run, formula, assignment.as_dict())
-
-
-def choose_engine(params, formula: Formula) -> Engine:
-    """Deterministic strategy: classical evaluation only for dependence-free input.
-
-    `params` is any object exposing the syntactic `arity` value; constancy
-    atoms have arity zero but still force the team engines.
-    """
-    if params.arity == 0 and not has_dependence_atoms(formula):
-        return Engine.FO_TARSKI
-    return Engine.OPTIMIZED
+    team = Team(assignment.domain, {assignment.values})
+    return check(structure, team, formula, Engine.FO_TARSKI, budget)
 
 
 def find_dep_violation(
     structure: Structure, team: Team, atom: DepAtom
 ) -> tuple[Assignment, Assignment] | None:
     """First pair of rows (in canonical order) violating a dependence atom."""
-    missing = free_variables(atom) - set(team.domain)
-    if missing:
-        raise ValueError(f"team domain is missing free variables {sorted(missing)}")
-    _validate_symbols(atom, structure)
+    _check_inputs(structure, team, atom)
     pos = {v: i for i, v in enumerate(team.domain)}
-    rows = team.sorted_rows()
-    values = [
-        (
-            _tuple_value(atom.antecedent, structure, pos, row),
-            _tuple_value(atom.consequent, structure, pos, row),
-        )
-        for row in rows
-    ]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if values[i][0] == values[j][0] and values[i][1] != values[j][1]:
-                return (
-                    Assignment(team.domain, rows[i]),
-                    Assignment(team.domain, rows[j]),
-                )
-    return None
+    pair = min(_dep_conflicts(atom, structure, pos, team.sorted_rows()), default=None)
+    if pair is None:
+        return None
+    first, second = pair
+    return Assignment(team.domain, first), Assignment(team.domain, second)

@@ -302,6 +302,12 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _declare(table: dict, kind: str, name: str, value, lineno: int) -> None:
+    if name in table:
+        raise StructureError(f"line {lineno}: duplicate {kind} {name!r}")
+    table[name] = value
+
+
 def parse_structure(text: str) -> Structure:
     """Parse the line-based structure format."""
     universe: list[str] | None = None
@@ -326,7 +332,7 @@ def parse_structure(text: str) -> Structure:
                 tuple(part.strip() for part in group.split(","))
                 for group in _GROUP.findall(rest)
             ]
-            relations[name] = (arity, rows)
+            _declare(relations, "relation", name, (arity, rows), lineno)
         elif colon and word == "function":
             m = _DECL.fullmatch(head.strip())
             if not m:
@@ -341,12 +347,12 @@ def parse_structure(text: str) -> Structure:
                 else:
                     args = (m_entry.group(1),)
                 table[args] = m_entry.group(3)
-            functions[name] = (arity, table)
+            _declare(functions, "function", name, (arity, table), lineno)
         elif word == "constant":
             m = _CONSTANT.fullmatch(line)
             if not m:
                 raise StructureError(f"line {lineno}: bad constant declaration")
-            constants[m.group(1)] = m.group(2)
+            _declare(constants, "constant", m.group(1), m.group(2), lineno)
         else:
             raise StructureError(f"line {lineno}: unrecognized directive {word!r}")
     if universe is None:

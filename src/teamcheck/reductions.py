@@ -34,6 +34,7 @@ from .syntax import (
     tokenize,
     FormulaSyntaxError,
     _IDENT,
+    _TokenCursor,
     KEYWORDS,
 )
 
@@ -259,29 +260,9 @@ def pdl_propositions(formula: PDLFormula) -> tuple[str, ...]:
     return tuple(out)
 
 
-class _PDLParser:
+class _PDLParser(_TokenCursor):
     """Proposition-only restriction of the formula grammar: no quantifiers,
     no equality, and dependence atoms range over bare propositions."""
-
-    def __init__(self, tokens, end):
-        self.tokens = tokens
-        self.i = 0
-        self.end = end
-
-    def _peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def _next(self):
-        if self.i >= len(self.tokens):
-            raise FormulaSyntaxError("unexpected end of input", self.end)
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _expect(self, text):
-        tok, pos = self._next()
-        if tok != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok!r}", pos)
 
     def proposition(self) -> str:
         tok, pos = self._next()
@@ -335,9 +316,7 @@ class _PDLParser:
 def parse_pdl(text: str) -> PDLFormula:
     parser = _PDLParser(tokenize(text), len(text))
     formula = parser.disj()
-    if parser.i < len(parser.tokens):
-        tok, pos = parser.tokens[parser.i]
-        raise FormulaSyntaxError(f"unexpected token {tok!r} after formula", pos)
+    parser.expect_end()
     return formula
 
 

@@ -345,11 +345,12 @@ def tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]], vocab: Vocabulary, end: int):
+class _TokenCursor:
+    """Position in a token list, shared by the formula and PDL parsers."""
+
+    def __init__(self, tokens: list[tuple[str, int]], end: int):
         self.tokens = tokens
         self.i = 0
-        self.vocab = vocab
         self.end = end
 
     def _peek(self, ahead: int = 0) -> str | None:
@@ -373,6 +374,12 @@ class _Parser:
         if self.i < len(self.tokens):
             tok, pos = self.tokens[self.i]
             raise FormulaSyntaxError(f"unexpected token {tok!r} after formula", pos)
+
+
+class _Parser(_TokenCursor):
+    def __init__(self, tokens: list[tuple[str, int]], vocab: Vocabulary, end: int):
+        super().__init__(tokens, end)
+        self.vocab = vocab
 
     def disj(self) -> Formula:
         node = self.conj()

@@ -112,3 +112,28 @@ def treewidth_by_orders(graph: Graph) -> int:
     return best
 
 
+
+
+def dep_violation_pairwise(structure, team, atom):
+    """First pair of rows, in sorted order, that violates a dependence atom.
+
+    Scans every pair of rows (i < j) and evaluates terms straight from the
+    structure's tables, so it shares no evaluation code with the package.
+    Returns the pair as two value tuples, or None.
+    """
+    from teamcheck import Const, Var
+
+    def value(term, row):
+        if isinstance(term, Var):
+            return row[team.domain.index(term.name)]
+        if isinstance(term, Const):
+            return structure.constants[term.name]
+        return structure.functions[term.name][tuple(value(a, row) for a in term.args)]
+
+    rows = sorted(team.rows)
+    for i, first in enumerate(rows):
+        for second in rows[i + 1:]:
+            agree = all(value(t, first) == value(t, second) for t in atom.antecedent)
+            if agree and any(value(t, first) != value(t, second) for t in atom.consequent):
+                return first, second
+    return None

@@ -86,10 +86,22 @@ def test_check_missing_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
-def test_check_rejects_bad_thread_count(flight_files, capsys):
-    structure, team, formula_file = flight_files
-    rc = run_cli("check", structure, team, formula_file("=(;Gate)"), "--threads", "0")
+@pytest.mark.parametrize(
+    "text",
+    [
+        " | ".join(["R(x)"] * 2000),
+        "(" * 3000 + "R(x)" + ")" * 3000,
+        "".join(f"exists y{i} " for i in range(1500)) + "R(x)",
+    ],
+    ids=["split-2000", "parens-3000", "exists-1500"],
+)
+def test_check_deep_formula_exits_two(tmp_path, capsys, text):
+    structure = write(tmp_path / "s", "universe: a b\nrelation R/1: (a)\n")
+    team = write(tmp_path / "t", "x\na\n")
+    rc = run_cli("check", structure, team, write(tmp_path / "f", text + "\n"))
+    captured = capsys.readouterr()
     assert rc == 2
+    assert captured.err == "error: formula is nested too deeply\n"
 
 
 # --- params ------------------------------------------------------------------
@@ -207,7 +219,7 @@ def test_bench_deterministic_modulo_timing(tmp_path):
         path = tmp_path / name
         assert run_cli(
             "bench", "--family", "splits", "--range", "0..4",
-            "--engine", "naive", "--seed", "7", "--out", str(path),
+            "--engine", "naive", "--out", str(path),
         ) == 0
         paths.append(path)
 

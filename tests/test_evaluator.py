@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -17,14 +18,14 @@ from teamcheck import (
     analyze,
     check,
     check_fo_tarski,
-    choose_engine,
     find_dep_violation,
     free_variables,
     parse_formula,
     run_check,
 )
 
-from depgen import random_instance, random_team
+from brute import dep_violation_pairwise
+from depgen import random_instance, random_structure, random_team, random_term
 
 
 def fparse(text, structure):
@@ -52,6 +53,29 @@ def test_flight_board_violated_dependence_with_witness(flight_instance):
     times = {first.named(structure)["Time"], second.named(structure)["Time"]}
     assert flights == {"FIN-70", "FIN-80"}
     assert times == {"09:55", "19:55"}
+
+
+def test_dep_violation_matches_pairwise_oracle():
+    rng = random.Random(2026)
+    domain = ("x", "y", "z")
+    violated = collections.Counter()
+    for _ in range(500):
+        structure = random_structure(rng)
+        team = random_team(rng, structure, domain, max_rows=10)
+        terms = [random_term(rng, structure, list(domain)) for _ in range(5)]
+        antecedent = tuple(terms[: rng.randint(0, 2)])
+        consequent = tuple(terms[2 : 2 + rng.randint(1, 3)])
+        atom = DepAtom(antecedent, consequent)
+        expected = dep_violation_pairwise(structure, team, atom)
+        pair = find_dep_violation(structure, team, atom)
+        assert (None if pair is None else tuple(a.values for a in pair)) == expected
+        if expected is not None:
+            prefix = tuple(Var(v) for v in domain[: len(antecedent)])
+            violated["all"] += 1
+            violated["constancy"] += not antecedent
+            violated["multi-consequent"] += len(consequent) > 1
+            violated["non-prefix"] += antecedent != prefix
+    assert min(violated[k] for k in ("all", "constancy", "multi-consequent", "non-prefix")) >= 25
 
 
 # --- single clauses of the semantics ---------------------------------------------
@@ -168,28 +192,18 @@ def test_fo_tarski_work_within_declared_bound(pair):
 
 # --- engine choice -------------------------------------------------------------------
 
-def test_choose_engine_dep_free(pair):
-    f = fparse("forall x exists y E(x,y)", pair)
-    assert choose_engine(analyze(f), f) is Engine.FO_TARSKI
-
-
-def test_choose_engine_with_dependence_atoms():
-    f = parse_formula("=(x;y) | =(u;v) | =(u;v)")
-    assert choose_engine(analyze(f), f) is Engine.OPTIMIZED
-
-
-def test_choose_engine_constancy_still_team_based():
-    f = parse_formula("=(;y)")
-    assert analyze(f).arity == 0
-    assert choose_engine(analyze(f), f) is Engine.OPTIMIZED
-
-
-def test_auto_resolves_like_choose_engine(pair):
-    f = fparse("forall x exists y E(x,y)", pair)
-    assert run_check(pair, Team.of_empty_assignment(), f).engine is Engine.FO_TARSKI
-    g = fparse("=(;x)", pair)
-    team = Team.from_named_rows(("x",), [("0",)], pair)
-    assert run_check(pair, team, g).engine is Engine.OPTIMIZED
+def test_auto_engine_resolution(pair):
+    one_row = Team(("x", "y", "u", "v"), frozenset({(0, 1, 0, 1)}))
+    constancy = fparse("=(;y)", pair)
+    assert analyze(constancy).arity == 0
+    for team, text, expected in (
+        (Team.of_empty_assignment(), "forall x exists y E(x,y)", Engine.FO_TARSKI),
+        (one_row, "R(x) | E(x,y)", Engine.FO_TARSKI),
+        (Team.from_named_rows(("x",), [("0",)], pair), "=(;x)", Engine.OPTIMIZED),
+        (one_row, "=(;y)", Engine.OPTIMIZED),
+        (one_row, "=(x;y) | =(u;v) | =(u;v)", Engine.OPTIMIZED),
+    ):
+        assert run_check(pair, team, fparse(text, pair)).engine is expected
 
 
 # --- errors -----------------------------------------------------------------------

@@ -259,6 +259,20 @@ def test_parse_structure_rejects_stray_text():
         parse_structure("universe: a\nrelation R/1: (a) junk\n")
 
 
+@pytest.mark.parametrize(
+    "first, second, kind",
+    [
+        ("relation R/1: (a)", "relation R/1: (b)", "relation 'R'"),
+        ("function f/1: a->a b->b", "function f/1: a->b b->a", "function 'f'"),
+        ("constant c = a", "constant c = b", "constant 'c'"),
+    ],
+)
+def test_parse_structure_rejects_duplicate_declarations(first, second, kind):
+    text = f"universe: a b\n{first}\n{second}\n"
+    with pytest.raises(StructureError, match=f"line 3: duplicate {kind}"):
+        parse_structure(text)
+
+
 def test_parse_structure_rejects_unknown_directive():
     with pytest.raises(StructureError, match="unrecognized"):
         parse_structure("universe: a\npredicate R/1: (a)\n")
