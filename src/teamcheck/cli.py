@@ -119,14 +119,15 @@ def _load_instance(args) -> tuple[Structure, Team, Formula]:
 
 
 def _resolve_budget(value: int) -> int | None:
-    return None if value <= 0 else value
+    if value < 0:
+        raise ValueError(f"--budget must be 0 (unlimited) or positive, got {value}")
+    return value or None
 
 
 def cmd_check(args) -> int:
+    budget = _resolve_budget(args.budget)
     structure, team, formula = _load_instance(args)
-    outcome = run_check(
-        structure, team, formula, _ENGINES[args.engine], _resolve_budget(args.budget)
-    )
+    outcome = run_check(structure, team, formula, _ENGINES[args.engine], budget)
     print("SAT" if outcome.satisfied else "UNSAT")
     print(f"engine={outcome.engine.value}")
     print(f"expansions={outcome.expansions}")

@@ -8,11 +8,13 @@ Three engines decide whether a structure and a team satisfy a formula:
   functions into nonempty value sets ((2^|A|-1)^|T| cases).  It is the
   trusted reference engine.
 - ``optimized`` restricts the same search to partitions (2^|T|) and to
-  singleton-valued supplementing functions (|A|^|T|) and memoizes results
-  per (subformula, team).  Both restrictions preserve the answer because
-  satisfaction is downward closed (any subteam of a satisfying team
-  satisfies the formula); the test suite checks this equivalence against
-  ``naive`` instead of assuming it.
+  singleton-valued supplementing functions (|A|^|T|).  Both restrictions
+  preserve the answer because satisfaction is downward closed (any subteam
+  of a satisfying team satisfies the formula); the test suite checks this
+  equivalence against ``naive`` instead of assuming it.  It numbers the
+  rows met over each variable domain in one registry per domain, so a
+  subteam is an int mask over its domain's registry, and it memoizes
+  results per (interned subformula, registry, mask).
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness).  Its
   memoization bounds the work by |formula| * |A|^(number of variables).
@@ -71,13 +73,14 @@ class CheckOutcome:
 
 
 class _Run:
-    __slots__ = ("structure", "budget", "expansions", "memo", "_fv")
+    __slots__ = ("structure", "budget", "expansions", "memo", "registries", "_fv")
 
     def __init__(self, structure: Structure, budget: int | None, memoized: bool):
         self.structure = structure
         self.budget = budget
         self.expansions = 0
         self.memo: dict | None = {} if memoized else None
+        self.registries: dict = {}  # domain -> _Registry, optimized engine only
         self._fv: dict = {}
 
     def tick(self) -> None:
@@ -238,58 +241,173 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
     raise TypeError(f"not a formula: {f!r}")
 
 
-# --- optimized engine ----------------------------------------------------------
+# --- optimized engine: a mask kernel ----------------------------------------
+#
+# A subteam is an int mask over a row registry.  Each variable domain has one
+# registry, which numbers the rows met over that domain in order of first
+# appearance; the root registry is the team's rows.  Subformulas are interned
+# by structural equality, so the memo key (node id, registry id, mask) has the
+# classes of (subformula, domain, rows).
 
-def _opt(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> bool:
-    key = (f, domain, rows)
+
+class _Node:
+    """An interned subformula, with its atom tables per registry id."""
+
+    __slots__ = ("id", "formula", "left", "right", "tables")
+
+    def __init__(self, node_id: int, formula: Formula, left, right):
+        self.id = node_id
+        self.formula = formula
+        self.left = left  # the body, for a quantifier
+        self.right = right
+        self.tables: dict = {}
+
+
+def _intern(f: Formula, nodes: dict) -> _Node:
+    node = nodes.get(f)
+    if node is None:
+        left = right = None
+        if isinstance(f, (And, Or)):
+            left, right = _intern(f.left, nodes), _intern(f.right, nodes)
+        elif isinstance(f, (Exists, Forall)):
+            left = _intern(f.body, nodes)
+        node = nodes[f] = _Node(len(nodes), f, left, right)
+    return node
+
+
+class _Registry:
+    """The rows met over one variable domain, numbered as they appear."""
+
+    __slots__ = ("id", "domain", "pos", "rows", "index", "ext")
+
+    def __init__(self, reg_id: int, domain: tuple, pos: dict, rows: list):
+        self.id = reg_id
+        self.domain = domain
+        self.pos = pos
+        self.rows = rows
+        self.index: dict | None = None  # row -> number, built on first need
+        self.ext: dict = {}  # var -> (child registry, extend, per-row child numbers)
+
+    def number(self, row: tuple) -> int:
+        index = self.index
+        if index is None:
+            index = self.index = {r: i for i, r in enumerate(self.rows)}
+        i = index.get(row)
+        if i is None:
+            i = index[row] = len(self.rows)
+            self.rows.append(row)
+        return i
+
+    def full(self) -> int:
+        return (1 << len(self.rows)) - 1
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bit positions of `mask`, ascending, in time linear in its width."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+
+
+def _bits_by_row(reg: _Registry, mask: int) -> list[int]:
+    """The set bit positions of `mask`, ordered by their rows' values."""
+    return sorted(_bits(mask), key=reg.rows.__getitem__)
+
+
+def _mask_of(numbers, width: int) -> int:
+    """The mask with the given bit positions set, all below `width`."""
+    buf = bytearray((width + 7) >> 3)
+    for i in numbers:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
+    """The registry for quantifying `var` and, per row of `reg` up to the
+    highest bit of `mask`, the child row numbers for each value."""
+    entry = reg.ext.get(var)
+    if entry is None:
+        domain, pos, extend = _extension(reg.domain, reg.pos, var)
+        registries = run.registries
+        child = registries.setdefault(domain, _Registry(len(registries), domain, pos, []))
+        entry = reg.ext[var] = (child, extend, [])
+    child, extend, table = entry
+    values = range(run.structure.size)
+    for row in reg.rows[len(table):mask.bit_length()]:
+        table.append(tuple(child.number(extend(row, a)) for a in values))
+    return child, table
+
+
+def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    f, st, rows = node.formula, run.structure, reg.rows
+    is_dep = isinstance(f, DepAtom)
+    if mask == reg.full():  # the whole registry: no table needed
+        if is_dep:
+            return next(_dep_conflicts(f, st, reg.pos, rows), None) is None
+        return _literal_holds(f, st, reg.pos, rows)
+    # per-row values over the registry, extended as the registry grows
+    table = node.tables.get(reg.id)
+    if table is None:
+        table = node.tables[reg.id] = [] if is_dep else [0, 0]
+    pos = reg.pos
+    if is_dep:
+        for row in rows[len(table):]:
+            antecedent = _tuple_value(f.antecedent, st, pos, row)
+            table.append((antecedent, _tuple_value(f.consequent, st, pos, row)))
+        first: dict = {}
+        for i in _bits(mask):
+            antecedent, consequent = table[i]
+            if first.setdefault(antecedent, consequent) != consequent:
+                return False
+        return True
+    ok, done = table
+    if done < len(rows):
+        held = (i for i in range(done, len(rows)) if _literal_holds(f, st, pos, (rows[i],)))
+        table[0] = ok = ok | _mask_of(held, len(rows))
+        table[1] = len(rows)
+    return mask & ok == mask
+
+
+def _opt(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    key = (node.id, reg.id, mask)
     memo = run.memo
-    if key in memo:
-        return memo[key]
-    run.tick()
-    result = _opt_eval(run, f, domain, pos, rows)
-    memo[key] = result
+    result = memo.get(key)
+    if result is None:
+        run.tick()
+        result = memo[key] = _opt_eval(run, node, reg, mask)
     return result
 
 
-def _opt_eval(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> bool:
-    st = run.structure
-    if isinstance(f, (Equality, RelAtom)):
-        return _literal_holds(f, st, pos, rows)
-    if isinstance(f, DepAtom):
-        return next(_dep_conflicts(f, st, pos, rows), None) is None
-    if isinstance(f, And):
-        return _opt(run, f.left, domain, pos, rows) and _opt(
-            run, f.right, domain, pos, rows
-        )
+def _opt_eval(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    f = node.formula
     if isinstance(f, Or):
-        rows_list = sorted(rows)
-        n = len(rows_list)
-        # partitions only, visited in Gray-code order over row masks
-        for k in range(1 << n):
-            mask = k ^ (k >> 1)
-            left = frozenset(rows_list[i] for i in range(n) if mask >> i & 1)
-            if not _opt(run, f.left, domain, pos, left):
-                continue
-            right = frozenset(rows_list[i] for i in range(n) if not mask >> i & 1)
-            if _opt(run, f.right, domain, pos, right):
+        # partitions only, in Gray-code order over the rows sorted by value:
+        # step k moves the row whose bit is the lowest set bit of k
+        moves = [1 << i for i in _bits_by_row(reg, mask)]
+        left_node, right_node = node.left, node.right
+        left = 0
+        for k in range(1 << len(moves)):
+            if k:
+                left ^= moves[(k & -k).bit_length() - 1]
+            if _opt(run, left_node, reg, left) and _opt(run, right_node, reg, mask ^ left):
+                return True
+        return False
+    if isinstance(f, And):
+        return _opt(run, node.left, reg, mask) and _opt(run, node.right, reg, mask)
+    if isinstance(f, Exists):
+        # singleton-valued supplementing functions only
+        child, table = _extension_table(run, reg, f.var, mask)
+        choices = [[1 << j for j in table[i]] for i in _bits_by_row(reg, mask)]
+        for combo in itertools.product(*choices):
+            child_mask = 0
+            for bit in combo:
+                child_mask |= bit
+            if _opt(run, node.left, child, child_mask):
                 return True
         return False
     if isinstance(f, Forall):
-        new_domain, new_pos, extend = _extension(domain, pos, f.var)
-        new_rows = frozenset(extend(r, a) for r in rows for a in range(st.size))
-        return _opt(run, f.body, new_domain, new_pos, new_rows)
-    if isinstance(f, Exists):
-        new_domain, new_pos, extend = _extension(domain, pos, f.var)
-        rows_list = sorted(rows)
-        # singleton-valued supplementing functions only
-        for combo in itertools.product(range(st.size), repeat=len(rows_list)):
-            new_rows = frozenset(
-                extend(r, a) for r, a in zip(rows_list, combo)
-            )
-            if _opt(run, f.body, new_domain, new_pos, new_rows):
-                return True
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+        child, table = _extension_table(run, reg, f.var, mask)
+        numbers = (j for i in _bits(mask) for j in table[i])
+        return _opt(run, node.left, child, _mask_of(numbers, len(child.rows)))
+    return _atom_holds(run, node, reg, mask)
 
 
 # --- classical engine ----------------------------------------------------------
@@ -404,7 +522,8 @@ def run_check(
     if resolved is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif resolved is Engine.OPTIMIZED:
-        satisfied = _opt(run, formula, team.domain, pos, team.rows)
+        root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
+        satisfied = _opt(run, _intern(formula, {}), root, root.full())
     else:
         satisfied = all(
             _fo(run, formula, team.domain, pos, row) for row in team.sorted_rows()

@@ -81,6 +81,20 @@ def test_check_budget_exceeded_exits_three(tmp_path, capsys):
     assert "budget" in captured.err
 
 
+def test_negative_budget_exits_two(tmp_path, capsys):
+    structure = write(tmp_path / "s", "universe: a b\nrelation R/1:\n")
+    team = write(tmp_path / "t", "x\na\nb\n")
+    formula = write(tmp_path / "f", "R(x) | R(x)\n")
+    for argv in (
+        ("check", structure, team, formula, "--engine", "opt", "--budget", "-1"),
+        ("bench", "--family", "splits", "--range", "0..2", "--budget", "-5"),
+    ):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --budget must be 0")
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     rc = run_cli("check", str(tmp_path / "nope"), str(tmp_path / "nope"), str(tmp_path / "nope"))
     assert rc == 2

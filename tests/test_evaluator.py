@@ -228,6 +228,81 @@ def test_budget_exceeded_raises_loudly(pair):
         check(pair, team, f, Engine.OPTIMIZED, budget=2)
 
 
+_UNSAT_9_ROWS = "p cnf 2 3\n1 2 2 0\n-1 -1 -1 0\n1 -2 -2 0\n"
+_UNSAT_12_ROWS = "p cnf 2 4\n1 2 2 0\n-1 2 2 0\n1 -2 -2 0\n-1 -2 -2 0\n"
+
+
+def _reduced(dimacs):
+    from teamcheck import parse_dimacs, reduce_3sat
+
+    return reduce_3sat(parse_dimacs(dimacs))
+
+
+@pytest.mark.parametrize(
+    "dimacs,rows,expansions", [(_UNSAT_9_ROWS, 9, 1537), (_UNSAT_12_ROWS, 12, 12289)]
+)
+def test_optimized_expansions_pinned_on_unsat_3sat(dimacs, rows, expansions):
+    structure, team, formula = _reduced(dimacs)
+    assert len(team) == rows
+    outcome = run_check(structure, team, formula, Engine.OPTIMIZED)
+    assert (outcome.satisfied, outcome.expansions) == (False, expansions)
+
+
+@pytest.mark.parametrize("seed,expansions", [(133, 12), (700, 6), (738, 9), (2961, 15)])
+def test_optimized_expansions_pinned_on_random_instances(seed, expansions):
+    # memo entries are shared per variable domain, also where a quantifier
+    # rebinds a team variable or the team is empty
+    structure, team, formula = random_instance(random.Random(seed))
+    assert run_check(structure, team, formula, Engine.OPTIMIZED).expansions == expansions
+
+
+def test_optimized_budget_boundary():
+    structure, team, formula = _reduced(_UNSAT_9_ROWS)
+    outcome = run_check(structure, team, formula, Engine.OPTIMIZED, budget=1537)
+    assert (outcome.satisfied, outcome.expansions) == (False, 1537)
+    with pytest.raises(BudgetExceededError) as info:
+        run_check(structure, team, formula, Engine.OPTIMIZED, budget=1536)
+    assert info.value.expansions == 1537
+
+
+def test_optimized_on_masks_wider_than_a_word():
+    structure = Structure(["0", "1"])
+    domain = ("x", "y", "z") + tuple(f"v{i}" for i in range(9))
+    rows = {
+        (x, y, x ^ y) + rest
+        for x in (0, 1)
+        for y in (0, 1)
+        for rest in itertools.product((0, 1), repeat=9)
+    }
+    planted = (0, 0, 1) + (0,) * 9
+    atom = fparse("=(x,y;z)", structure)
+    for extra in ((), (planted,)):
+        team = Team(domain, frozenset(rows.union(extra)))
+        assert len(team) >= 2000
+        expected = find_dep_violation(structure, team, atom) is None
+        assert expected is not bool(extra)
+        # the last formula meets the atom on a strict subteam of its registry
+        for text in (
+            "=(x,y;z)",
+            "forall w =(x,y;z)",
+            "(forall w forall x x = x) & forall w =(x,y;z)",
+        ):
+            outcome = run_check(structure, team, fparse(text, structure), Engine.OPTIMIZED)
+            assert outcome.satisfied is expected, text
+
+
+def test_mask_bits_round_trip():
+    from teamcheck.evaluator import _bits, _mask_of
+
+    rng = random.Random(64)
+    for width in (1, 63, 64, 65, 2000, 50_000):
+        for count in (0, 1, width // 3, width):
+            numbers = sorted(rng.sample(range(width), count))
+            mask = _mask_of(numbers, width)
+            assert mask == sum(1 << i for i in numbers)
+            assert _bits(mask) == numbers
+
+
 def test_expansion_counts_are_deterministic(pair):
     team = Team.from_named_rows(("x",), [("0",), ("1",)], pair)
     f = fparse("R(x) | !R(x)", pair)
