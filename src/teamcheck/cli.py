@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .evaluator import (
@@ -32,7 +32,15 @@ from .model import (
     team_to_text,
 )
 from .reductions import CNFError, parse_dimacs, parse_pdl, reduce_3sat, reduce_pdl
-from .syntax import DepAtom, Formula, FormulaSyntaxError, analyze, parse_formula, pretty
+from .syntax import (
+    DepAtom,
+    Formula,
+    FormulaSyntaxError,
+    SyntacticParams,
+    analyze,
+    parse_formula,
+    pretty,
+)
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -51,33 +59,20 @@ _ENGINES = {
 
 
 @dataclass(frozen=True)
-class ParameterReport:
+class ParameterReport(SyntacticParams):
     """The nine parameter values of a model-checking instance."""
 
-    splits: int
-    foralls: int
-    arity: int
-    vars: int
-    free_vars: int
-    size: int
     structure_size: int
     team_size: int
     treewidth: int
     treewidth_is_exact: bool
 
     def lines(self) -> list[str]:
-        tag = "exact" if self.treewidth_is_exact else "upper-bound"
-        return [
-            f"splits={self.splits}",
-            f"foralls={self.foralls}",
-            f"arity={self.arity}",
-            f"vars={self.vars}",
-            f"free_vars={self.free_vars}",
-            f"size={self.size}",
-            f"structure_size={self.structure_size}",
-            f"team_size={self.team_size}",
-            f"treewidth={self.treewidth}({tag})",
-        ]
+        """One `key=value` line per parameter, with treewidth tagged."""
+        values = asdict(self)
+        tag = "exact" if values.pop("treewidth_is_exact") else "upper-bound"
+        values["treewidth"] = f"{self.treewidth}({tag})"
+        return [f"{key}={value}" for key, value in values.items()]
 
 
 def build_report(
@@ -96,12 +91,7 @@ def build_report(
         treewidth, _ = treewidth_greedy(graph)
         exact = False
     return ParameterReport(
-        splits=params.splits,
-        foralls=params.foralls,
-        arity=params.arity,
-        vars=params.vars,
-        free_vars=params.free_vars,
-        size=params.size,
+        **asdict(params),
         structure_size=structure.size,
         team_size=len(team),
         treewidth=treewidth,

@@ -16,8 +16,9 @@ Three engines decide whether a structure and a team satisfy a formula:
   subteam is an int mask over its domain's registry, and it memoizes
   results per (interned subformula, registry, mask).
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
-  per-assignment evaluation and row-wise conjunction (flatness).  Its
-  memoization bounds the work by |formula| * |A|^(number of variables).
+  per-assignment evaluation and row-wise conjunction (flatness).  It
+  memoizes per (interned subformula, values of its free variables), so
+  its work is at most |formula| * |A|^(number of variables).
 
 Every engine counts node expansions (one per evaluated subproblem)
 against an optional work budget and raises BudgetExceededError when the
@@ -44,6 +45,7 @@ from .syntax import (
     RelAtom,
     Term,
     Var,
+    atom_terms,
     free_variables,
     has_dependence_atoms,
 )
@@ -73,28 +75,19 @@ class CheckOutcome:
 
 
 class _Run:
-    __slots__ = ("structure", "budget", "expansions", "memo", "registries", "_fv")
+    __slots__ = ("structure", "budget", "expansions", "memo", "registries")
 
-    def __init__(self, structure: Structure, budget: int | None, memoized: bool):
+    def __init__(self, structure: Structure, budget: int | None):
         self.structure = structure
         self.budget = budget
         self.expansions = 0
-        self.memo: dict | None = {} if memoized else None
+        self.memo: dict = {}
         self.registries: dict = {}  # domain -> _Registry, optimized engine only
-        self._fv: dict = {}
 
     def tick(self) -> None:
         self.expansions += 1
         if self.budget is not None and self.expansions > self.budget:
             raise BudgetExceededError(self.budget)
-
-    def fv(self, formula: Formula) -> tuple[str, ...]:
-        """The formula's free variables, sorted."""
-        cached = self._fv.get(formula)
-        if cached is None:
-            cached = tuple(sorted(free_variables(formula)))
-            self._fv[formula] = cached
-        return cached
 
 
 # --- term evaluation on rows -------------------------------------------------
@@ -162,6 +155,75 @@ def _dep_conflicts(atom: DepAtom, st: Structure, pos: dict, rows):
         if seen is not None and seen[1] != consequent:
             first[antecedent] = None  # one pair per group
             yield seen[0], row
+
+
+# --- the compiled formula --------------------------------------------------------
+
+class _Node:
+    """An interned subformula with its sorted free variables, and with its
+    atom tables per registry id (optimized engine only)."""
+
+    __slots__ = ("id", "formula", "left", "right", "free", "tables")
+
+    def __init__(self, node_id: int, formula: Formula, left, right, free: tuple):
+        self.id = node_id
+        self.formula = formula
+        self.left = left  # the body, for a quantifier
+        self.right = right
+        self.free = free
+        self.tables: dict = {}
+
+
+def _intern(f: Formula, nodes: dict) -> _Node:
+    node = nodes.get(f)
+    if node is None:
+        left = right = None
+        if isinstance(f, (And, Or)):
+            left, right = _intern(f.left, nodes), _intern(f.right, nodes)
+            free = {*left.free, *right.free}
+        elif isinstance(f, (Exists, Forall)):
+            left = _intern(f.body, nodes)
+            free = set(left.free) - {f.var}
+        else:
+            free = free_variables(f)
+        node = nodes[f] = _Node(len(nodes), f, left, right, tuple(sorted(free)))
+    return node
+
+
+def _check_term(term: Term, structure: Structure) -> None:
+    if isinstance(term, Const):
+        if term.name not in structure.constants:
+            raise ValueError(f"constant {term.name!r} is not interpreted")
+    elif isinstance(term, Func):
+        arity = structure.function_arities.get(term.name)
+        if arity is None:
+            raise ValueError(f"function {term.name!r} is not interpreted")
+        if arity != len(term.args):
+            raise ValueError(f"function {term.name!r} used with wrong arity")
+        for arg in term.args:
+            _check_term(arg, structure)
+
+
+def _compile(structure: Structure, team: Team, formula: Formula) -> list[_Node]:
+    """Intern the formula and check it against the team and the structure.
+
+    Returns the nodes children first, so the root is last."""
+    nodes: dict = {}
+    root = _intern(formula, nodes)
+    missing = set(root.free) - set(team.domain)
+    if missing:
+        raise ValueError(f"team domain is missing free variables {sorted(missing)}")
+    for node in nodes.values():  # atoms left to right: the leftmost error wins
+        f = node.formula
+        if isinstance(f, RelAtom):
+            arity = structure.relation_arities.get(f.name)
+            if arity is None:
+                raise ValueError(f"relation {f.name!r} is not interpreted")
+            if arity != len(f.args):
+                raise ValueError(f"relation {f.name!r} used with wrong arity")
+        for term in atom_terms(f):
+            _check_term(term, structure)
+    return list(nodes.values())
 
 
 # --- naive engine ------------------------------------------------------------
@@ -248,31 +310,6 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 # appearance; the root registry is the team's rows.  Subformulas are interned
 # by structural equality, so the memo key (node id, registry id, mask) has the
 # classes of (subformula, domain, rows).
-
-
-class _Node:
-    """An interned subformula, with its atom tables per registry id."""
-
-    __slots__ = ("id", "formula", "left", "right", "tables")
-
-    def __init__(self, node_id: int, formula: Formula, left, right):
-        self.id = node_id
-        self.formula = formula
-        self.left = left  # the body, for a quantifier
-        self.right = right
-        self.tables: dict = {}
-
-
-def _intern(f: Formula, nodes: dict) -> _Node:
-    node = nodes.get(f)
-    if node is None:
-        left = right = None
-        if isinstance(f, (And, Or)):
-            left, right = _intern(f.left, nodes), _intern(f.right, nodes)
-        elif isinstance(f, (Exists, Forall)):
-            left = _intern(f.body, nodes)
-        node = nodes[f] = _Node(len(nodes), f, left, right)
-    return node
 
 
 class _Registry:
@@ -411,78 +448,37 @@ def _opt_eval(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
 
 
 # --- classical engine ----------------------------------------------------------
+#
+# Each variable has a fixed slot in the row, the team's variables first, so a
+# quantifier overwrites only its own slot.
 
-def _fo(run: _Run, f: Formula, domain: tuple, pos: dict, row: tuple) -> bool:
-    key = (f, tuple(row[pos[v]] for v in run.fv(f)))
+def _fo(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
+    key = (node.id, tuple([row[pos[v]] for v in node.free]))
     memo = run.memo
-    if key in memo:
-        return memo[key]
-    run.tick()
-    result = _fo_eval(run, f, domain, pos, row)
-    memo[key] = result
+    result = memo.get(key)
+    if result is None:
+        run.tick()
+        result = memo[key] = _fo_eval(run, node, pos, row)
     return result
 
 
-def _fo_eval(run: _Run, f: Formula, domain: tuple, pos: dict, row: tuple) -> bool:
-    st = run.structure
-    if isinstance(f, (Equality, RelAtom)):
-        return _literal_holds(f, st, pos, (row,))
+def _fo_eval(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
+    f = node.formula
     if isinstance(f, And):
-        return _fo(run, f.left, domain, pos, row) and _fo(run, f.right, domain, pos, row)
+        return _fo(run, node.left, pos, row) and _fo(run, node.right, pos, row)
     if isinstance(f, Or):
-        return _fo(run, f.left, domain, pos, row) or _fo(run, f.right, domain, pos, row)
+        return _fo(run, node.left, pos, row) or _fo(run, node.right, pos, row)
     if isinstance(f, (Exists, Forall)):
-        new_domain, new_pos, extend = _extension(domain, pos, f.var)
+        i = pos[f.var]
         combine = any if isinstance(f, Exists) else all
         return combine(
-            _fo(run, f.body, new_domain, new_pos, extend(row, a)) for a in range(st.size)
+            _fo(run, node.left, pos, row[:i] + (a,) + row[i + 1:])
+            for a in range(run.structure.size)
         )
-    if isinstance(f, DepAtom):
-        raise ValueError("classical engine reached a dependence atom")
-    raise TypeError(f"not a formula: {f!r}")
+    return _literal_holds(f, run.structure, pos, (row,))
 
 
-# --- validation and entry points ------------------------------------------------
-
-def _validate_symbols(f: Formula, structure: Structure) -> None:
-    def check_term(term: Term) -> None:
-        if isinstance(term, Const):
-            if term.name not in structure.constants:
-                raise ValueError(f"constant {term.name!r} is not interpreted")
-        elif isinstance(term, Func):
-            arity = structure.function_arities.get(term.name)
-            if arity is None:
-                raise ValueError(f"function {term.name!r} is not interpreted")
-            if arity != len(term.args):
-                raise ValueError(f"function {term.name!r} used with wrong arity")
-            for arg in term.args:
-                check_term(arg)
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, RelAtom):
-            arity = structure.relation_arities.get(node.name)
-            if arity is None:
-                raise ValueError(f"relation {node.name!r} is not interpreted")
-            if arity != len(node.args):
-                raise ValueError(f"relation {node.name!r} used with wrong arity")
-            for arg in node.args:
-                check_term(arg)
-        elif isinstance(node, (Equality, DepAtom)):
-            terms = (
-                (node.left, node.right)
-                if isinstance(node, Equality)
-                else node.antecedent + node.consequent
-            )
-            for term in terms:
-                check_term(term)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-        else:
-            walk(node.body)
-
-    walk(f)
-
+# --- entry points ------------------------------------------------------------------
 
 def resolve_engine(engine: Engine, formula: Formula) -> Engine:
     """The engine `auto` stands for: classical evaluation only for
@@ -490,13 +486,6 @@ def resolve_engine(engine: Engine, formula: Formula) -> Engine:
     if engine is not Engine.AUTO:
         return engine
     return Engine.OPTIMIZED if has_dependence_atoms(formula) else Engine.FO_TARSKI
-
-
-def _check_inputs(structure: Structure, team: Team, formula: Formula) -> None:
-    missing = free_variables(formula) - set(team.domain)
-    if missing:
-        raise ValueError(f"team domain is missing free variables {sorted(missing)}")
-    _validate_symbols(formula, structure)
 
 
 def run_check(
@@ -512,22 +501,24 @@ def run_check(
     (extra team variables are fine), and every symbol of the formula must
     be interpreted by the structure.
     """
-    _check_inputs(structure, team, formula)
+    nodes = _compile(structure, team, formula)
     resolved = resolve_engine(engine, formula)
     if resolved is Engine.FO_TARSKI and has_dependence_atoms(formula):
         raise ValueError("fo_tarski engine requires a dependence-atom-free formula")
 
-    run = _Run(structure, budget, memoized=resolved is not Engine.NAIVE)
+    run = _Run(structure, budget)
     pos = {v: i for i, v in enumerate(team.domain)}
     if resolved is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif resolved is Engine.OPTIMIZED:
         root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
-        satisfied = _opt(run, _intern(formula, {}), root, root.full())
+        satisfied = _opt(run, nodes[-1], root, root.full())
     else:
-        satisfied = all(
-            _fo(run, formula, team.domain, pos, row) for row in team.sorted_rows()
-        )
+        for node in nodes:
+            if isinstance(node.formula, (Exists, Forall)):
+                pos.setdefault(node.formula.var, len(pos))
+        pad = (0,) * (len(pos) - len(team.domain))
+        satisfied = all(_fo(run, nodes[-1], pos, row + pad) for row in team.sorted_rows())
     return CheckOutcome(satisfied, resolved, run.expansions)
 
 
@@ -556,7 +547,7 @@ def find_dep_violation(
     structure: Structure, team: Team, atom: DepAtom
 ) -> tuple[Assignment, Assignment] | None:
     """First pair of rows (in canonical order) violating a dependence atom."""
-    _check_inputs(structure, team, atom)
+    _compile(structure, team, atom)
     pos = {v: i for i, v in enumerate(team.domain)}
     pair = min(_dep_conflicts(atom, structure, pos, team.sorted_rows()), default=None)
     if pair is None:

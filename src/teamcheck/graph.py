@@ -41,13 +41,6 @@ class Graph:
             normalized.add((u, v))
         return cls(vertices, frozenset(normalized))
 
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 @dataclass(frozen=True)
 class TreeDecomposition:

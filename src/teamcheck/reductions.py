@@ -69,7 +69,9 @@ def parse_dimacs(text: str) -> CNF:
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB end marker; a lone "0" may follow
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

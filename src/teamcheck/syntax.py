@@ -255,7 +255,12 @@ def node_count(formula: Formula) -> int:
 
 
 def analyze(formula: Formula) -> SyntacticParams:
-    """Compute all six syntactic parameters in one pass."""
+    """Compute all six syntactic parameters.
+
+    One walk counts splits and universal quantifiers and finds the largest
+    dependence-atom arity; `all_variables`, `free_variables` and
+    `formula_size` each walk the formula once more.
+    """
     splits = foralls = arity = 0
 
     def walk(f: Formula) -> None:

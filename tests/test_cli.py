@@ -128,15 +128,17 @@ def test_params_on_reduced_instance(tmp_path, capsys):
     rc = run_cli("params", f"{prefix}.structure", f"{prefix}.team", f"{prefix}.formula")
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
-    values = dict(line.split("=", 1) for line in out)
-    assert values["splits"] == "2"
-    assert values["foralls"] == "0"
-    assert values["arity"] == "1"
-    assert values["free_vars"] == "4"
-    assert values["vars"] == "4"
-    assert values["team_size"] == "12"
-    assert values["structure_size"] == "9"
-    assert values["treewidth"] == "0(exact)"
+    assert out == [
+        "splits=2",
+        "foralls=0",
+        "arity=1",
+        "vars=4",
+        "free_vars=4",
+        "size=11",
+        "structure_size=9",
+        "team_size=12",
+        "treewidth=0(exact)",
+    ]
 
 
 def test_params_departures_treewidth(tmp_path, capsys):

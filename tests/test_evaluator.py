@@ -190,6 +190,29 @@ def test_fo_tarski_work_within_declared_bound(pair):
     assert outcome.expansions <= formula_size(f) * pair.size ** len(all_variables(f))
 
 
+@pytest.mark.parametrize(
+    "team_domain,text,satisfied,expansions",
+    [
+        # quantifiers that rebind the team variables x and y
+        (("x", "y"), "exists x (E(x,y) & forall y (E(x,y) | R(y)))", False, 21),
+        # a quantifier that introduces a fresh variable z
+        (("x",), "forall z (E(x,z) | E(z,x))", False, 15),
+        # `exists y E(x,y)` under the team's x and under `forall x`
+        (("x",), "exists y E(x,y) & forall x exists y E(x,y)", True, 12),
+    ],
+)
+def test_fo_tarski_expansions_pinned(team_domain, text, satisfied, expansions):
+    # one expansion per distinct (subformula, values of its free variables)
+    triangle = Structure(
+        ["a", "b", "c"],
+        relations={"R": (1, [("b",)]), "E": (2, [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])},
+    )
+    rows = itertools.product(range(triangle.size), repeat=len(team_domain))
+    team = Team(team_domain, frozenset(rows))
+    outcome = run_check(triangle, team, fparse(text, triangle), Engine.FO_TARSKI)
+    assert (outcome.satisfied, outcome.expansions) == (satisfied, expansions)
+
+
 # --- engine choice -------------------------------------------------------------------
 
 def test_auto_engine_resolution(pair):
@@ -212,6 +235,10 @@ def test_missing_free_variable_is_an_error(pair):
     team = Team(("x",), frozenset())
     with pytest.raises(ValueError, match="missing free variables"):
         check(pair, team, fparse("E(x,y)", pair))
+    # a missing variable is reported before an uninterpreted symbol
+    f = parse_formula("Q(y)", __import__("teamcheck").Vocabulary(relations={"Q": 1}))
+    with pytest.raises(ValueError, match="missing free variables"):
+        check(pair, team, f)
 
 
 def test_uninterpreted_symbol_is_an_error(pair):

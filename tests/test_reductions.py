@@ -66,6 +66,12 @@ def test_parse_dimacs_rejects_bad_header_and_counts():
         parse_dimacs("p cnf 3 1\n1 2 3\n")
 
 
+def test_parse_dimacs_stops_at_satlib_end_marker():
+    # SATLIB files end with a '%' line and then a lone '0'
+    cnf = parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+    assert cnf.clauses == ((1, -2, 3),)
+
+
 def test_cnf_rejects_out_of_range_literals():
     with pytest.raises(CNFError, match="out of range"):
         CNF(2, ((1, 2, 3),))
