@@ -47,7 +47,7 @@ from .syntax import (
     Var,
     atom_terms,
     free_variables,
-    has_dependence_atoms,
+    subterms,
 )
 
 
@@ -191,17 +191,16 @@ def _intern(f: Formula, nodes: dict) -> _Node:
 
 
 def _check_term(term: Term, structure: Structure) -> None:
-    if isinstance(term, Const):
-        if term.name not in structure.constants:
-            raise ValueError(f"constant {term.name!r} is not interpreted")
-    elif isinstance(term, Func):
-        arity = structure.function_arities.get(term.name)
-        if arity is None:
-            raise ValueError(f"function {term.name!r} is not interpreted")
-        if arity != len(term.args):
-            raise ValueError(f"function {term.name!r} used with wrong arity")
-        for arg in term.args:
-            _check_term(arg, structure)
+    for t in subterms(term):  # preorder: a function before its arguments
+        if isinstance(t, Const):
+            if t.name not in structure.constants:
+                raise ValueError(f"constant {t.name!r} is not interpreted")
+        elif isinstance(t, Func):
+            arity = structure.function_arities.get(t.name)
+            if arity is None:
+                raise ValueError(f"function {t.name!r} is not interpreted")
+            if arity != len(t.args):
+                raise ValueError(f"function {t.name!r} used with wrong arity")
 
 
 def _compile(structure: Structure, team: Team, formula: Formula) -> list[_Node]:
@@ -480,14 +479,6 @@ def _fo_eval(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
 
 # --- entry points ------------------------------------------------------------------
 
-def resolve_engine(engine: Engine, formula: Formula) -> Engine:
-    """The engine `auto` stands for: classical evaluation only for
-    dependence-free formulas (constancy atoms still need a team engine)."""
-    if engine is not Engine.AUTO:
-        return engine
-    return Engine.OPTIMIZED if has_dependence_atoms(formula) else Engine.FO_TARSKI
-
-
 def run_check(
     structure: Structure,
     team: Team,
@@ -502,15 +493,19 @@ def run_check(
     be interpreted by the structure.
     """
     nodes = _compile(structure, team, formula)
-    resolved = resolve_engine(engine, formula)
-    if resolved is Engine.FO_TARSKI and has_dependence_atoms(formula):
+    has_dep = any(isinstance(node.formula, DepAtom) for node in nodes)
+    # `auto` evaluates classically only dependence-free formulas (constancy
+    # atoms still need a team engine)
+    if engine is Engine.AUTO:
+        engine = Engine.OPTIMIZED if has_dep else Engine.FO_TARSKI
+    if engine is Engine.FO_TARSKI and has_dep:
         raise ValueError("fo_tarski engine requires a dependence-atom-free formula")
 
     run = _Run(structure, budget)
     pos = {v: i for i, v in enumerate(team.domain)}
-    if resolved is Engine.NAIVE:
+    if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
-    elif resolved is Engine.OPTIMIZED:
+    elif engine is Engine.OPTIMIZED:
         root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
         satisfied = _opt(run, nodes[-1], root, root.full())
     else:
@@ -519,7 +514,7 @@ def run_check(
                 pos.setdefault(node.formula.var, len(pos))
         pad = (0,) * (len(pos) - len(team.domain))
         satisfied = all(_fo(run, nodes[-1], pos, row + pad) for row in team.sorted_rows())
-    return CheckOutcome(satisfied, resolved, run.expansions)
+    return CheckOutcome(satisfied, engine, run.expansions)
 
 
 def check(

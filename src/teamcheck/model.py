@@ -346,7 +346,12 @@ def parse_structure(text: str) -> Structure:
                     args = tuple(part.strip() for part in m_entry.group(2).split(","))
                 else:
                     args = (m_entry.group(1),)
-                table[args] = m_entry.group(3)
+                value = m_entry.group(3)
+                if table.setdefault(args, value) != value:
+                    raise StructureError(
+                        f"line {lineno}: function {name!r} maps {args!r} to both "
+                        f"{table[args]!r} and {value!r}"
+                    )
             _declare(functions, "function", name, (arity, table), lineno)
         elif word == "constant":
             m = _CONSTANT.fullmatch(line)

@@ -34,7 +34,7 @@ from .syntax import (
     tokenize,
     FormulaSyntaxError,
     _IDENT,
-    _TokenCursor,
+    _Parser,
     KEYWORDS,
 )
 
@@ -262,29 +262,17 @@ def pdl_propositions(formula: PDLFormula) -> tuple[str, ...]:
     return tuple(out)
 
 
-class _PDLParser(_TokenCursor):
+class _PDLParser(_Parser):
     """Proposition-only restriction of the formula grammar: no quantifiers,
     no equality, and dependence atoms range over bare propositions."""
+
+    OR, AND = PDLOr, PDLAnd
 
     def proposition(self) -> str:
         tok, pos = self._next()
         if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
             raise FormulaSyntaxError(f"expected a proposition, found {tok!r}", pos)
         return tok
-
-    def disj(self) -> PDLFormula:
-        node = self.conj()
-        while self._peek() == "|":
-            self._next()
-            node = PDLOr(node, self.conj())
-        return node
-
-    def conj(self) -> PDLFormula:
-        node = self.unit()
-        while self._peek() == "&":
-            self._next()
-            node = PDLAnd(node, self.unit())
-        return node
 
     def unit(self) -> PDLFormula:
         tok = self._peek()
@@ -299,17 +287,9 @@ class _PDLParser(_TokenCursor):
         if tok == "=":
             self._next()
             self._expect("(")
-            antecedent = []
-            if self._peek() != ";":
-                antecedent.append(self.proposition())
-                while self._peek() == ",":
-                    self._next()
-                    antecedent.append(self.proposition())
+            antecedent = [] if self._peek() == ";" else self._items(self.proposition)
             self._expect(";")
-            consequent = [self.proposition()]
-            while self._peek() == ",":
-                self._next()
-                consequent.append(self.proposition())
+            consequent = self._items(self.proposition)
             self._expect(")")
             return PDLDep(tuple(antecedent), tuple(consequent))
         return PropLit(self.proposition())

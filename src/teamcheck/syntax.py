@@ -169,18 +169,32 @@ class SyntacticParams:
 
 # --- traversals -------------------------------------------------------------
 
+def subformulas(formula: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence in preorder, left before right."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, Or)):
+            stack += (f.right, f.left)
+        elif isinstance(f, (Exists, Forall)):
+            stack.append(f.body)
+        elif not isinstance(f, _ATOMS):
+            raise TypeError(f"not a formula: {f!r}")
+        yield f
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """Every subterm occurrence in preorder, left before right."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Func):
+            stack += reversed(t.args)
+        yield t
+
+
 def term_variables(term: Term) -> Iterator[str]:
-    if isinstance(term, Var):
-        yield term.name
-    elif isinstance(term, Func):
-        for arg in term.args:
-            yield from term_variables(arg)
-
-
-def _term_symbols(term: Term) -> int:
-    if isinstance(term, Func):
-        return 1 + sum(_term_symbols(arg) for arg in term.args)
-    return 1
+    return (t.name for t in subterms(term) if isinstance(t, Var))
 
 
 def atom_terms(formula: Formula) -> tuple[Term, ...]:
@@ -193,13 +207,22 @@ def atom_terms(formula: Formula) -> tuple[Term, ...]:
     return ()
 
 
+def _own_variables(f: Formula) -> set[str]:
+    """The variables one node names itself: a quantifier's, or an atom's terms'."""
+    if isinstance(f, (Exists, Forall)):
+        return {f.var}
+    return {v for term in atom_terms(f) for v in term_variables(term)}
+
+
+def _own_size(f: Formula) -> int:
+    """One for the node plus its term symbol occurrences."""
+    return 1 + sum(1 for term in atom_terms(f) for _ in subterms(term))
+
+
 def free_variables(formula: Formula) -> frozenset[str]:
     """Free variables; every variable of a dependence atom is free in it."""
     if isinstance(formula, _ATOMS):
-        out: set[str] = set()
-        for term in atom_terms(formula):
-            out.update(term_variables(term))
-        return frozenset(out)
+        return frozenset(_own_variables(formula))
     if isinstance(formula, (And, Or)):
         return free_variables(formula.left) | free_variables(formula.right)
     if isinstance(formula, (Exists, Forall)):
@@ -209,86 +232,36 @@ def free_variables(formula: Formula) -> frozenset[str]:
 
 def all_variables(formula: Formula) -> frozenset[str]:
     """Every variable occurring in the formula, bound or free."""
-    if isinstance(formula, _ATOMS):
-        out: set[str] = set()
-        for term in atom_terms(formula):
-            out.update(term_variables(term))
-        return frozenset(out)
-    if isinstance(formula, (And, Or)):
-        return all_variables(formula.left) | all_variables(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return all_variables(formula.body) | {formula.var}
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def dependence_atoms(formula: Formula) -> Iterator[DepAtom]:
-    if isinstance(formula, DepAtom):
-        yield formula
-    elif isinstance(formula, (And, Or)):
-        yield from dependence_atoms(formula.left)
-        yield from dependence_atoms(formula.right)
-    elif isinstance(formula, (Exists, Forall)):
-        yield from dependence_atoms(formula.body)
+    return frozenset(v for f in subformulas(formula) for v in _own_variables(f))
 
 
 def has_dependence_atoms(formula: Formula) -> bool:
-    return next(dependence_atoms(formula), None) is not None
+    return any(isinstance(f, DepAtom) for f in subformulas(formula))
 
 
 def formula_size(formula: Formula) -> int:
     """Formula size: tree node count plus term symbol occurrences."""
-    if isinstance(formula, _ATOMS):
-        return 1 + sum(_term_symbols(t) for t in atom_terms(formula))
-    if isinstance(formula, (And, Or)):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return 1 + formula_size(formula.body)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def node_count(formula: Formula) -> int:
-    if isinstance(formula, _ATOMS):
-        return 1
-    if isinstance(formula, (And, Or)):
-        return 1 + node_count(formula.left) + node_count(formula.right)
-    return 1 + node_count(formula.body)
+    return sum(map(_own_size, subformulas(formula)))
 
 
 def analyze(formula: Formula) -> SyntacticParams:
     """Compute all six syntactic parameters.
 
-    One walk counts splits and universal quantifiers and finds the largest
-    dependence-atom arity; `all_variables`, `free_variables` and
-    `formula_size` each walk the formula once more.
+    One pass over the subformulas counts splits and universal quantifiers,
+    takes the largest dependence-atom arity, collects the variables and
+    sums the size; `free_variables` then walks the formula once more.
     """
-    splits = foralls = arity = 0
-
-    def walk(f: Formula) -> None:
-        nonlocal splits, foralls, arity
-        if isinstance(f, Or):
-            splits += 1
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, And):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Forall):
-            foralls += 1
-            walk(f.body)
-        elif isinstance(f, Exists):
-            walk(f.body)
-        elif isinstance(f, DepAtom):
+    splits = foralls = arity = size = 0
+    variables: set[str] = set()
+    for f in subformulas(formula):
+        splits += isinstance(f, Or)
+        foralls += isinstance(f, Forall)
+        if isinstance(f, DepAtom):
             arity = max(arity, len(f.antecedent))
-
-    walk(formula)
-    return SyntacticParams(
-        splits=splits,
-        foralls=foralls,
-        arity=arity,
-        vars=len(all_variables(formula)),
-        free_vars=len(free_variables(formula)),
-        size=formula_size(formula),
-    )
+        variables |= _own_variables(f)
+        size += _own_size(f)
+    free_vars = len(free_variables(formula))
+    return SyntacticParams(splits, foralls, arity, len(variables), free_vars, size)
 
 
 # --- printing ---------------------------------------------------------------
@@ -350,13 +323,19 @@ def tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _TokenCursor:
-    """Position in a token list, shared by the formula and PDL parsers."""
+class _Parser:
+    """Recursive descent over a token list; the PDL parser reuses it with
+    its own connectives and units."""
 
-    def __init__(self, tokens: list[tuple[str, int]], end: int):
+    OR, AND = Or, And
+
+    def __init__(
+        self, tokens: list[tuple[str, int]], end: int, vocab: Vocabulary = EMPTY_VOCABULARY
+    ):
         self.tokens = tokens
         self.i = 0
         self.end = end
+        self.vocab = vocab
 
     def _peek(self, ahead: int = 0) -> str | None:
         j = self.i + ahead
@@ -380,24 +359,26 @@ class _TokenCursor:
             tok, pos = self.tokens[self.i]
             raise FormulaSyntaxError(f"unexpected token {tok!r} after formula", pos)
 
-
-class _Parser(_TokenCursor):
-    def __init__(self, tokens: list[tuple[str, int]], vocab: Vocabulary, end: int):
-        super().__init__(tokens, end)
-        self.vocab = vocab
+    def _items(self, item) -> list:
+        """One or more `item()` results separated by commas."""
+        items = [item()]
+        while self._peek() == ",":
+            self._next()
+            items.append(item())
+        return items
 
     def disj(self) -> Formula:
         node = self.conj()
         while self._peek() == "|":
             self._next()
-            node = Or(node, self.conj())
+            node = self.OR(node, self.conj())
         return node
 
     def conj(self) -> Formula:
         node = self.unit()
         while self._peek() == "&":
             self._next()
-            node = And(node, self.unit())
+            node = self.AND(node, self.unit())
         return node
 
     def unit(self) -> Formula:
@@ -451,7 +432,7 @@ class _Parser(_TokenCursor):
         if tok not in self.vocab.relations:
             raise FormulaSyntaxError(f"unknown relation symbol {tok!r}", pos)
         self._expect("(")
-        args = self.termlist()
+        args = self._items(self.term)
         self._expect(")")
         arity = self.vocab.relations[tok]
         if len(args) != arity:
@@ -463,18 +444,11 @@ class _Parser(_TokenCursor):
     def depatom(self) -> DepAtom:
         self._expect("=")
         self._expect("(")
-        antecedent: list[Term] = [] if self._peek() == ";" else self.termlist()
+        antecedent: list[Term] = [] if self._peek() == ";" else self._items(self.term)
         self._expect(";")
-        consequent = self.termlist()
+        consequent = self._items(self.term)
         self._expect(")")
         return DepAtom(tuple(antecedent), tuple(consequent))
-
-    def termlist(self) -> list[Term]:
-        terms = [self.term()]
-        while self._peek() == ",":
-            self._next()
-            terms.append(self.term())
-        return terms
 
     def term(self) -> Term:
         tok, pos = self._next()
@@ -482,7 +456,7 @@ class _Parser(_TokenCursor):
             raise FormulaSyntaxError(f"expected a term, found {tok!r}", pos)
         if tok in self.vocab.functions:
             self._expect("(")
-            args = self.termlist()
+            args = self._items(self.term)
             self._expect(")")
             arity = self.vocab.functions[tok]
             if len(args) != arity:
@@ -506,7 +480,7 @@ def parse_formula(text: str, vocab: Vocabulary = EMPTY_VOCABULARY) -> Formula:
     errors, grammar violations, unknown symbols, arity mismatches, and
     negation applied to anything but a relation atom.
     """
-    parser = _Parser(tokenize(text), vocab, len(text))
+    parser = _Parser(tokenize(text), len(text), vocab)
     formula = parser.disj()
     parser.expect_end()
     return formula

@@ -38,7 +38,7 @@ from teamcheck import (
     validate_decomposition,
 )
 from teamcheck.cli import build_report, main as cli_main
-from teamcheck.syntax import node_count
+from teamcheck.syntax import subformulas
 
 from conftest import (
     DEPARTURES_EDGES,
@@ -273,7 +273,7 @@ def _exhaustive_engine_family():
         "forall z (R(z) | =(;z))",
     ]
     formulas = [parse_formula(text, vocab) for text in formula_texts]
-    assert all(node_count(f) <= 12 for f in formulas)
+    assert all(sum(1 for _ in subformulas(f)) <= 12 for f in formulas)
     all_rows = [(a, b) for a in range(2) for b in range(2)]
     teams = []
     for size in range(len(all_rows) + 1):
@@ -287,7 +287,7 @@ def _criterion_5_random_instances():
     instances = []
     while len(instances) < 500:
         candidate = random_instance(rng, max_rows=4, cost="naive", cost_cap=150_000)
-        if node_count(candidate[2]) <= 12:
+        if sum(1 for _ in subformulas(candidate[2])) <= 12:
             instances.append(candidate)
     return instances
 

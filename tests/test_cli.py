@@ -112,10 +112,12 @@ def test_check_missing_file_exits_two(tmp_path, capsys):
 def test_check_deep_formula_exits_two(tmp_path, capsys, text):
     structure = write(tmp_path / "s", "universe: a b\nrelation R/1: (a)\n")
     team = write(tmp_path / "t", "x\na\n")
-    rc = run_cli("check", structure, team, write(tmp_path / "f", text + "\n"))
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err == "error: formula is nested too deeply\n"
+    formula = write(tmp_path / "f", text + "\n")
+    for command in ("check", "params"):
+        rc = run_cli(command, structure, team, formula)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: formula is nested too deeply\n"
 
 
 # --- params ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from teamcheck import (
     Structure,
     Team,
     Var,
+    Vocabulary,
     analyze,
     check,
     check_fo_tarski,
@@ -246,6 +247,30 @@ def test_uninterpreted_symbol_is_an_error(pair):
     team = Team.from_named_rows(("x",), [("0",)], pair)
     with pytest.raises(ValueError, match="not interpreted"):
         check(pair, team, f)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("S(f(g(c),x))", "function 'f' used with wrong arity"),
+        ("R(g(c),x) | S(c)", "function 'g' is not interpreted"),
+        ("R(c,g(x))", "constant 'c' is not interpreted"),
+        ("x = y & S(f(x,x))", "function 'f' used with wrong arity"),
+    ],
+)
+def test_symbol_check_precedence_on_nested_terms(text, message):
+    # the outer function is checked before its arguments, the leftmost atom first
+    structure = Structure(
+        ("0", "1"),
+        relations={"R": (2, []), "S": (1, [])},
+        functions={"f": (1, {("0",): "1", ("1",): "0"})},
+    )
+    vocab = Vocabulary(
+        relations={"R": 2, "S": 1}, functions={"f": 2, "g": 1}, constants={"c"}
+    )
+    team = Team.from_named_rows(("x", "y"), [("0", "1")], structure)
+    with pytest.raises(ValueError, match=message):
+        check(structure, team, parse_formula(text, vocab))
 
 
 def test_budget_exceeded_raises_loudly(pair):

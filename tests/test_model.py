@@ -273,6 +273,30 @@ def test_parse_structure_rejects_duplicate_declarations(first, second, kind):
         parse_structure(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "universe: a b c\nfunction f/1: a->b a->c b->a c->a\n",
+            r"line 2: function 'f' maps \('a',\) to both 'b' and 'c'",
+        ),
+        (
+            "universe: a b\nfunction g/2: (a,a)->a (a,b)->b (b,a)->b (b,b)->a (a, b)->a\n",
+            r"line 2: function 'g' maps \('a', 'b'\) to both 'b' and 'a'",
+        ),
+    ],
+    ids=["unary", "binary"],
+)
+def test_parse_structure_rejects_conflicting_function_entries(text, message):
+    with pytest.raises(StructureError, match=message):
+        parse_structure(text)
+
+
+def test_parse_structure_accepts_repeated_function_entry():
+    structure = parse_structure("universe: a b\nfunction f/1: a->b b->a a->b\n")
+    assert structure.functions["f"] == {(0,): 1, (1,): 0}
+
+
 def test_parse_structure_rejects_unknown_directive():
     with pytest.raises(StructureError, match="unrecognized"):
         parse_structure("universe: a\npredicate R/1: (a)\n")

@@ -6,10 +6,12 @@ import pytest
 
 from teamcheck import (
     And,
+    Const,
     DepAtom,
     Exists,
     Forall,
     FormulaSyntaxError,
+    Func,
     Or,
     RelAtom,
     Var,
@@ -22,10 +24,12 @@ from teamcheck import (
     parse_formula,
     pretty,
 )
+from teamcheck.syntax import subformulas, subterms
 
 from depgen import random_formula, random_structure
 
 R2 = Vocabulary(relations={"R": 2})
+TERMS = Vocabulary(relations={"R": 2, "S": 1}, functions={"f": 2, "g": 1}, constants={"c"})
 
 
 def dep(*names):
@@ -163,6 +167,36 @@ def test_requantified_variable_counted_once():
     f = parse_formula("exists x exists x R(x,x)", R2)
     assert all_variables(f) == {"x"}
     assert analyze(f).vars == 1
+
+
+@pytest.mark.parametrize(
+    "text, params, subformula_count",
+    [
+        (
+            "forall x (R(f(x,c),g(g(y))) | exists x (=(x,g(c);y) & f(x,x) = c)) | !S(z)",
+            (2, 1, 2, 3, 2, 24),
+            9,
+        ),
+        ("exists x exists x =(;x) | forall y S(y)", (1, 1, 0, 2, 0, 8), 6),
+    ],
+)
+def test_analyze_term_heavy_formulas(text, params, subformula_count):
+    f = parse_formula(text, TERMS)
+    p = analyze(f)
+    assert (p.splits, p.foralls, p.arity, p.vars, p.free_vars, p.size) == params
+    assert sum(1 for _ in subformulas(f)) == subformula_count
+
+
+def test_subformulas_and_subterms_are_preorder_left_first():
+    f = parse_formula("exists x exists x =(;x) | forall y S(f(g(c),x))", TERMS)
+    kinds = [type(g).__name__ for g in subformulas(f)]
+    assert kinds == ["Or", "Exists", "Exists", "DepAtom", "Forall", "RelAtom"]
+    term = f.right.body.args[0]
+    inner = Func("g", (Const("c"),))
+    assert list(subterms(term)) == [term, inner, Const("c"), Var("x")]
+    assert term == Func("f", (inner, Var("x")))
+    with pytest.raises(TypeError, match="not a formula"):
+        list(subformulas(And(Var("x"), Var("y"))))
 
 
 def test_cannot_quantify_declared_symbol():
