@@ -8,6 +8,7 @@ line-oriented ``key=value`` text (CSV for bench).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -218,7 +219,12 @@ def cmd_bench(args) -> int:
     return EXIT_SAT
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Callers only parse with it; none may add to or change it.
+    """
     parser = argparse.ArgumentParser(
         prog="teamcheck",
         description="Team-semantics model checking for dependence-logic formulas.",

@@ -137,11 +137,30 @@ def _min_fill_order(adj: dict[int, set[int]]) -> tuple[int, list[int]]:
     return width, order
 
 
-def _simplicial(adj: dict[int, set[int]], v: int) -> bool:
-    neighbors = sorted(adj[v])
-    return all(
-        w in adj[u] for i, u in enumerate(neighbors) for w in neighbors[i + 1:]
-    )
+def _minor_min_width(adj: dict[int, set[int]]) -> int:
+    """Minor-min-width: a treewidth lower bound that contracts towards a minor.
+
+    Repeatedly take a vertex of minimum degree, raise the bound to that
+    degree, and contract the vertex into its minimum-degree neighbour; ties
+    go to the lower index.  Every graph on the way is a minor of the input,
+    and treewidth never grows under minors, so each degree seen is at most
+    the treewidth (Gogate and Dechter, UAI 2004).
+    """
+    adj = _copy_adj(adj)
+    bound = 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        neighbors = adj.pop(v)
+        bound = max(bound, len(neighbors))
+        for u in neighbors:
+            adj[u].discard(v)
+        if neighbors:
+            target = min(neighbors, key=lambda u: (len(adj[u]), u))
+            neighbors.discard(target)
+            adj[target] |= neighbors
+            for u in neighbors:
+                adj[u].add(target)
+    return bound
 
 
 def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecomposition]:
@@ -151,7 +170,9 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
     min-fill ordering: visited vertex subsets are memoized with the best
     prefix width that reached them, eliminating a simplicial vertex never
     branches, and prefixes that cannot strictly improve on the incumbent
-    are cut.  Vertex counts above `limit` are refused.
+    are cut.  The search is skipped when the minor-min-width lower bound
+    already meets the min-fill width, which is then optimal.  Vertex counts
+    above `limit` are refused.
     """
     n = len(graph.vertices)
     if n > limit:
@@ -180,7 +201,7 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
             return
         candidates = None
         for v in sorted(adj):
-            if _simplicial(adj, v):
+            if _fill_count(adj, v) == 0:
                 candidates = [v]
                 break
         if candidates is None:
@@ -193,7 +214,8 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
             _eliminate(reduced, v)
             search(reduced, width, order + [v])
 
-    search(full, -1, [])
+    if _minor_min_width(full) < best_width:
+        search(full, -1, [])
     return best_width, _decomposition_from_order(graph, best_order)
 
 

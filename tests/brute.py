@@ -1,9 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These implementations deliberately share no code with the package: DPLL
-cross-checks the exhaustive SAT oracle, full permutation search
-cross-checks the branch-and-bound treewidth, and subset enumeration
-cross-checks team properties.
+cross-checks the exhaustive SAT oracle, full permutation search and a
+subset recurrence cross-check the branch-and-bound treewidth, and subset
+enumeration cross-checks team properties.
 """
 
 from __future__ import annotations
@@ -112,6 +112,42 @@ def treewidth_by_orders(graph: Graph) -> int:
     return best
 
 
+def treewidth_by_subsets(graph: Graph) -> int:
+    """Treewidth by the subset recurrence of Bodlaender et al. (n <= 16).
+
+    "On exact algorithms for treewidth": TW(empty) = -1 and TW(S) is the
+    minimum over v in S of max(TW(S - v), |Q(S - v, v)|), where Q(S, v) is
+    the set of vertices outside S + v reachable from v through S.  The
+    result is TW of the whole vertex set.  Subsets are bitmasks, visited in
+    increasing order so that S - v is always done before S.
+    """
+    n = len(graph.vertices)
+    assert n <= 16, "subset oracle is only meant for small graphs"
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    neighbors = [0] * n
+    for u, v in graph.edges:
+        neighbors[position[u]] |= 1 << position[v]
+        neighbors[position[v]] |= 1 << position[u]
+
+    def q_size(inner: int, v: int) -> int:
+        reached = frontier = 1 << v
+        while frontier:
+            w = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = neighbors[w] & ~reached
+            reached |= new
+            frontier |= new & inner
+        return bin(reached & ~inner & ~(1 << v)).count("1")
+
+    tw = [0] * (1 << n)
+    tw[0] = -1
+    for subset in range(1, 1 << n):
+        tw[subset] = min(
+            max(tw[subset & ~(1 << v)], q_size(subset & ~(1 << v), v))
+            for v in range(n)
+            if subset >> v & 1
+        )
+    return tw[-1]
 
 
 def dep_violation_pairwise(structure, team, atom):

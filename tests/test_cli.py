@@ -164,6 +164,31 @@ def test_params_sentence_has_no_free_variables(tmp_path, capsys):
     assert "foralls=1" in out
 
 
+def grid_structure(path: Path, rows: int, cols: int) -> str:
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    names = {cell: f"v{cell[0]}_{cell[1]}" for cell in cells}
+    pairs = [(cell, (cell[0] + 1, cell[1])) for cell in cells if cell[0] + 1 < rows]
+    pairs += [(cell, (cell[0], cell[1] + 1)) for cell in cells if cell[1] + 1 < cols]
+    tuples = " ".join(f"({names[a]},{names[b]})" for a, b in pairs)
+    return write(path, f"universe: {' '.join(names.values())}\nrelation E/2: {tuples}\n")
+
+
+@pytest.mark.parametrize(
+    "rows, cols, expected",
+    [(4, 5, "treewidth=4(exact)"), (3, 7, "treewidth=3(upper-bound)")],
+)
+def test_params_treewidth_tag_follows_the_vertex_limit(tmp_path, capsys, rows, cols, expected):
+    # 20 vertices get the exact treewidth; 21 get the min-fill upper bound
+    structure = grid_structure(tmp_path / "s", rows, cols)
+    team = write(tmp_path / "t", "x\nv0_0\n")
+    formula = write(tmp_path / "f", "exists y E(x,y)\n")
+    rc = run_cli("params", structure, team, formula)
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert f"structure_size={rows * cols}" in out
+    assert out[-1] == expected
+
+
 # --- reduce ------------------------------------------------------------------
 
 def test_reduce_single_clause_team_file(tmp_path, capsys):
@@ -287,6 +312,38 @@ def test_bench_bad_range_exits_two(capsys):
 
 
 # --- argparse usage errors ---------------------------------------------------------
+
+def test_parser_is_reused_without_leaking_state(flight_files, tmp_path, capsys):
+    structure, team, formula_file = flight_files
+    formula = formula_file("=(Flight,Date,Time;Destination,Gate)")
+    calls = [
+        ("check", structure, team, formula, "--engine", "naive"),
+        ("check", structure, team, formula),
+        ("frobnicate",),
+        ("params", structure, team, formula),
+    ]
+
+    def outputs(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_arg_parser.cache_clear()
+            try:
+                rc = run_cli(*argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    parser = cli.build_arg_parser()
+    shared = outputs(fresh=False)
+    assert cli.build_arg_parser() is parser
+    assert shared == outputs(fresh=True)
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0]
+    assert "engine=naive" in shared[0][1]
+    assert "engine=optimized" in shared[1][1]
+
 
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:

@@ -16,8 +16,9 @@ from teamcheck import (
     treewidth_greedy,
     validate_decomposition,
 )
+from teamcheck.graph import _index_adjacency, _min_fill_order, _minor_min_width
 
-from brute import treewidth_by_orders
+from brute import treewidth_by_orders, treewidth_by_subsets
 from conftest import DEPARTURES_EDGES, departures_reference_decomposition
 from depgen import random_structure
 
@@ -143,6 +144,81 @@ def test_exact_matches_permutation_oracle_on_small_graphs():
         assert width == treewidth_by_orders(graph)
         assert validate_decomposition(graph, decomposition)
         assert decomposition.width == width
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [((r, c), (r + 1, c)) for r, c in cells if r + 1 < rows]
+    edges += [((r, c), (r, c + 1)) for r, c in cells if c + 1 < cols]
+    return Graph.from_edges(cells, edges)
+
+
+def partial_k_tree(rng: random.Random, n: int, k: int, drop: float) -> Graph:
+    """A random k-tree on n vertices minus some edges outside its first (k+1)-clique."""
+    seed_clique = list(range(k + 1))
+    cliques = [tuple(c for c in seed_clique if c != v) for v in seed_clique]
+    edges = {(u, v) for u in seed_clique for v in seed_clique if u < v}
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges |= {(u, v) for u in base}
+        cliques += [tuple(c for c in base if c != u) + (v,) for u in base]
+    kept = [(u, v) for u, v in edges if v <= k or rng.random() >= drop]
+    return Graph.from_edges(range(n), kept)
+
+
+def minor_min_width(graph: Graph) -> int:
+    return _minor_min_width(_index_adjacency(graph))
+
+
+def min_fill_width(graph: Graph) -> int:
+    return _min_fill_order(_index_adjacency(graph))[0]
+
+
+def oracle_graphs() -> list[Graph]:
+    rng = random.Random(2)
+    graphs = [
+        random_graph(rng, rng.randint(8, 11), p=rng.choice((0.35, 0.5, 0.65)))
+        for _ in range(40)
+    ]
+    return graphs + [grid_graph(3, 3), grid_graph(3, 4), grid_graph(2, 6)]
+
+
+def test_exact_and_minor_min_width_match_subset_oracle():
+    searched = improved = 0
+    for graph in oracle_graphs():
+        width, decomposition = treewidth_exact(graph)
+        assert width == treewidth_by_subsets(graph)
+        assert validate_decomposition(graph, decomposition)
+        assert decomposition.width == width
+        bound, upper = minor_min_width(graph), min_fill_width(graph)
+        assert bound <= width <= upper
+        if bound < upper:
+            searched += 1
+            improved += width < upper
+    # the search itself still runs, and sometimes beats the min-fill ordering
+    assert searched >= 5 and improved >= 1
+    assert minor_min_width(Graph.from_edges(range(4), [])) == 0
+    assert minor_min_width(complete_graph(5)) == 4
+
+
+def test_minor_min_width_meets_min_fill_on_grids_and_partial_k_trees():
+    for graph in (grid_graph(4, 4), grid_graph(4, 5)):
+        assert minor_min_width(graph) == min_fill_width(graph) == 4
+    rng = random.Random(7)
+    for k in (2, 3, 4):
+        graph = partial_k_tree(rng, 18, k, drop=0.2)
+        assert minor_min_width(graph) == min_fill_width(graph) == k
+        width, decomposition = treewidth_exact(graph)
+        assert width == k
+        assert validate_decomposition(graph, decomposition)
+
+
+def test_minor_min_width_claims_no_more_than_it_proves():
+    # the 5x5 grid has treewidth 5 (the n x n grid has treewidth n); the
+    # bound stops at 4, so the exact search is not skipped there
+    grid = grid_graph(5, 5)
+    assert minor_min_width(grid) == 4
+    assert min_fill_width(grid) == 5
 
 
 def test_exact_respects_vertex_limit():
