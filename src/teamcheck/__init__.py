@@ -29,12 +29,10 @@ from .graph import (
 )
 from .model import (
     Assignment,
-    EvaluationError,
     Structure,
     StructureError,
     Team,
     TeamError,
-    eval_term,
     parse_structure,
     parse_team,
     structure_to_text,

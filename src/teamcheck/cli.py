@@ -20,23 +20,19 @@ from .evaluator import (
     find_dep_violation,
     run_check,
 )
-from .graph import GraphError, gaifman, treewidth_exact, treewidth_greedy
+from .graph import gaifman, treewidth_exact, treewidth_greedy
 from .model import (
-    EvaluationError,
     Structure,
-    StructureError,
     Team,
-    TeamError,
     parse_structure,
     parse_team,
     structure_to_text,
     team_to_text,
 )
-from .reductions import CNFError, parse_dimacs, parse_pdl, reduce_3sat, reduce_pdl
+from .reductions import parse_dimacs, parse_pdl, reduce_3sat, reduce_pdl
 from .syntax import (
     DepAtom,
     Formula,
-    FormulaSyntaxError,
     SyntacticParams,
     analyze,
     parse_formula,
@@ -49,7 +45,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 10_000_000
-DEFAULT_TREEWIDTH_LIMIT = 20
+TREEWIDTH_LIMIT = 20
 
 _ENGINES = {
     "naive": Engine.NAIVE,
@@ -76,17 +72,12 @@ class ParameterReport(SyntacticParams):
         return [f"{key}={value}" for key, value in values.items()]
 
 
-def build_report(
-    structure: Structure,
-    team: Team,
-    formula: Formula,
-    treewidth_limit: int = DEFAULT_TREEWIDTH_LIMIT,
-) -> ParameterReport:
-    """All nine parameters; treewidth is exact up to the vertex limit."""
+def build_report(structure: Structure, team: Team, formula: Formula) -> ParameterReport:
+    """All nine parameters; treewidth is exact up to `TREEWIDTH_LIMIT` vertices."""
     params = analyze(formula)
     graph = gaifman(structure)
-    if len(graph.vertices) <= treewidth_limit:
-        treewidth, _ = treewidth_exact(graph, treewidth_limit)
+    if len(graph.vertices) <= TREEWIDTH_LIMIT:
+        treewidth, _ = treewidth_exact(graph, TREEWIDTH_LIMIT)
         exact = True
     else:
         treewidth, _ = treewidth_greedy(graph)
@@ -285,16 +276,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        FormulaSyntaxError,
-        StructureError,
-        TeamError,
-        EvaluationError,
-        CNFError,
-        GraphError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # every input error (FormulaSyntaxError, StructureError, TeamError,
+        # CNFError, GraphError, UnicodeDecodeError) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

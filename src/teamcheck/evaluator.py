@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Assignment, Structure, Team
+from .model import Assignment, Structure, Team, _extension
 from .syntax import (
     And,
     DepAtom,
@@ -103,24 +103,6 @@ def _term_value(term: Term, structure: Structure, pos: dict[str, int], row: tupl
 
 def _tuple_value(terms, structure, pos, row) -> tuple:
     return tuple(_term_value(t, structure, pos, row) for t in terms)
-
-
-def _extension(domain: tuple, pos: dict, var: str):
-    """Domain, positions, and row-extender for quantifying `var`."""
-    if var in pos:
-        i = pos[var]
-
-        def extend(row, value, _i=i):
-            return row[:_i] + (value,) + row[_i + 1:]
-
-        return domain, pos, extend
-    new_pos = dict(pos)
-    new_pos[var] = len(domain)
-
-    def extend(row, value):
-        return row + (value,)
-
-    return domain + (var,), new_pos, extend
 
 
 # --- shared atom evaluation ----------------------------------------------------

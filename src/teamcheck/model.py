@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .syntax import Const, Func, Term, Var, Vocabulary
+from .syntax import Vocabulary
 
 
 class StructureError(ValueError):
@@ -22,10 +22,6 @@ class StructureError(ValueError):
 
 class TeamError(ValueError):
     """Malformed team, team file, or team operation argument."""
-
-
-class EvaluationError(ValueError):
-    """Term evaluation hit an unbound variable or uninterpreted symbol."""
 
 
 class Structure:
@@ -137,11 +133,30 @@ class Assignment:
         except ValueError:
             raise TeamError(f"variable {var!r} is not bound by this assignment") from None
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.domain, self.values))
-
     def named(self, structure: Structure) -> dict[str, str]:
         return {v: structure.element_name(i) for v, i in zip(self.domain, self.values)}
+
+
+def _extension(domain: tuple, pos: dict, var: str):
+    """Domain, positions, and row-extender for quantifying `var`.
+
+    A requantified variable is overwritten in place; a fresh one is
+    appended at the end of every row.
+    """
+    if var in pos:
+        i = pos[var]
+
+        def extend(row, value, _i=i):
+            return row[:_i] + (value,) + row[_i + 1:]
+
+        return domain, pos, extend
+    new_pos = dict(pos)
+    new_pos[var] = len(domain)
+
+    def extend(row, value):
+        return row + (value,)
+
+    return domain + (var,), new_pos, extend
 
 
 @dataclass(frozen=True)
@@ -228,19 +243,8 @@ class Team:
                         f"supplementing function is undefined on row {assignment.values!r}"
                     ) from None
 
-        if var in self.domain:
-            position = self.domain.index(var)
-            new_domain = self.domain
-
-            def extend(row: tuple[int, ...], value: int) -> tuple[int, ...]:
-                return row[:position] + (value,) + row[position + 1:]
-
-        else:
-            new_domain = self.domain + (var,)
-
-            def extend(row: tuple[int, ...], value: int) -> tuple[int, ...]:
-                return row + (value,)
-
+        pos = {v: i for i, v in enumerate(self.domain)}
+        new_domain, _, extend = _extension(self.domain, pos, var)
         new_rows = set()
         for row in self.sorted_rows():
             values = tuple(lookup(Assignment(self.domain, row)))
@@ -256,27 +260,6 @@ class Team:
         """Extend every row with every universe element."""
         everything = tuple(range(structure.size))
         return self.supplement(var, lambda _row: everything)
-
-
-def eval_term(term: Term, structure: Structure, assignment: Assignment) -> int:
-    """Value of a term under an assignment, as a universe element index."""
-    if isinstance(term, Var):
-        try:
-            return assignment[term.name]
-        except TeamError:
-            raise EvaluationError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Const):
-        try:
-            return structure.constants[term.name]
-        except KeyError:
-            raise EvaluationError(f"uninterpreted constant {term.name!r}") from None
-    if isinstance(term, Func):
-        table = structure.functions.get(term.name)
-        if table is None:
-            raise EvaluationError(f"uninterpreted function {term.name!r}")
-        args = tuple(eval_term(arg, structure, assignment) for arg in term.args)
-        return table[args]
-    raise TypeError(f"not a term: {term!r}")
 
 
 # --- file formats -----------------------------------------------------------

@@ -95,9 +95,37 @@ def test_negative_budget_exits_two(tmp_path, capsys):
         assert captured.err.startswith("error: --budget must be 0")
 
 
-def test_check_missing_file_exits_two(tmp_path, capsys):
-    rc = run_cli("check", str(tmp_path / "nope"), str(tmp_path / "nope"), str(tmp_path / "nope"))
-    assert rc == 2
+@pytest.mark.parametrize(
+    "role, content, message",
+    [
+        ("structure", "universe: a b\nrelation R/1: (a) junk\n", "stray text"),
+        ("team", "x\nz\n", "element 'z' is not in the universe"),
+        ("formula", "R(x\n", "unexpected end of input"),
+        ("team", b"x\n\xff\xfe\n", "can't decode"),
+        ("structure", None, "No such file"),
+    ],
+    ids=["bad-structure", "unknown-element", "formula-syntax", "non-utf8-team", "missing-file"],
+)
+def test_input_errors_exit_two(tmp_path, capsys, role, content, message):
+    files = {
+        "structure": "universe: a b\nrelation R/1: (a)\n",
+        "team": "x\na\n",
+        "formula": "R(x)\n",
+    }
+    files[role] = content
+    paths = {}
+    for name, data in files.items():
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        paths[name] = str(path)
+    for command in ("check", "params"):
+        rc = run_cli(command, paths["structure"], paths["team"], paths["formula"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
 
 
 @pytest.mark.parametrize(
@@ -349,3 +377,11 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         run_cli("frobnicate")
     assert info.value.code == 2
+
+
+def test_readme_library_example_prints_true(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out == "True\n"

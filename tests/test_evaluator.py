@@ -134,6 +134,21 @@ def test_dependence_atom_constancy(pair):
     assert not check(pair, team, fparse("=(;x)", pair))
 
 
+@pytest.mark.parametrize("x", ["a", "b", "c"])
+@pytest.mark.parametrize("engine", [Engine.NAIVE, Engine.OPTIMIZED, Engine.FO_TARSKI])
+def test_term_values_through_the_engines(engine, x):
+    abc = Structure(
+        ["a", "b", "c"],
+        functions={"f": (1, {"a": "b", "b": "c", "c": "a"})},
+        constants={"one": "b"},
+    )
+    team = Team.from_named_rows(("x",), [(x,)], abc)
+    assert check(abc, team, fparse("f(x) = one", abc), engine) == (x == "a")
+    assert check(abc, team, fparse("x = one", abc), engine) == (x == "b")
+    # a constant's value ignores the assignment
+    assert check(abc, team, fparse("one = one", abc), engine)
+
+
 def test_reflight_3sat_instance_routes(pair):
     # a satisfiable and an unsatisfiable toy, cross-checked by brute force below
     from teamcheck import parse_dimacs, reduce_3sat, sat_brute

@@ -6,15 +6,10 @@ import pytest
 
 from teamcheck import (
     Assignment,
-    Const,
-    EvaluationError,
-    Func,
     Structure,
     StructureError,
     Team,
     TeamError,
-    Var,
-    eval_term,
     parse_structure,
     parse_team,
     structure_to_text,
@@ -32,30 +27,6 @@ def abc() -> Structure:
         functions={"f": (1, {"a": "b", "b": "c", "c": "a"})},
         constants={"one": "b"},
     )
-
-
-# --- term evaluation ---------------------------------------------------------
-
-def test_eval_variable(abc):
-    s = Assignment(("x",), (abc.element_index("a"),))
-    assert eval_term(Var("x"), abc, s) == abc.element_index("a")
-
-
-def test_eval_constant_ignores_assignment(abc):
-    for element in "abc":
-        s = Assignment(("x",), (abc.element_index(element),))
-        assert eval_term(Const("one"), abc, s) == abc.element_index("b")
-
-
-def test_eval_function_application(abc):
-    s = Assignment(("x",), (abc.element_index("a"),))
-    assert eval_term(Func("f", (Var("x"),)), abc, s) == abc.element_index("b")
-
-
-def test_eval_unbound_variable_raises(abc):
-    s = Assignment(("x",), (0,))
-    with pytest.raises(EvaluationError, match="unbound"):
-        eval_term(Var("y"), abc, s)
 
 
 # --- teams ---------------------------------------------------------------------
