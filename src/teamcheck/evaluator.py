@@ -20,6 +20,11 @@ Three engines decide whether a structure and a team satisfy a formula:
   memoizes per (interned subformula, values of its free variables), so
   its work is at most |formula| * |A|^(number of variables).
 
+``optimized`` compiles each atom once per (atom, registry), and
+``fo_tarski`` once per run, into row readers: ``operator.itemgetter`` for
+variables, closures over the structure's tables for constants and
+functions.  Only ``naive``, the oracle, walks an atom's terms per row.
+
 Every engine counts node expansions (one per evaluated subproblem)
 against an optional work budget and raises BudgetExceededError when the
 budget is exhausted; it never silently approximates.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .model import Assignment, Structure, Team, _extension
 from .syntax import (
@@ -90,7 +96,7 @@ class _Run:
             raise BudgetExceededError(self.budget)
 
 
-# --- term evaluation on rows -------------------------------------------------
+# --- term evaluation on rows, for the naive engine (the oracle) only -----------
 
 def _term_value(term: Term, structure: Structure, pos: dict[str, int], row: tuple) -> int:
     if isinstance(term, Var):
@@ -105,45 +111,64 @@ def _tuple_value(terms, structure, pos, row) -> tuple:
     return tuple(_term_value(t, structure, pos, row) for t in terms)
 
 
-# --- shared atom evaluation ----------------------------------------------------
+# --- row readers: atoms compiled once per (atom, variable positions) ------------
 
-def _literal_holds(f: Formula, st: Structure, pos: dict, rows) -> bool:
-    """Whether every row satisfies an equality or (negated) relation atom."""
+def _term_reader(term: Term, st: Structure, pos: dict):
+    """A function from a row to the term's value."""
+    if isinstance(term, Var):
+        return itemgetter(pos[term.name])
+    if isinstance(term, Const):
+        value = st.constants[term.name]
+        return lambda row: value
+    table, args = st.functions[term.name], _tuple_reader(term.args, st, pos)
+    return lambda row: table[args(row)]
+
+
+def _tuple_reader(terms, st: Structure, pos: dict):
+    """A function from a row to the terms' values, always as a tuple."""
+    if len(terms) > 1 and all(isinstance(t, Var) for t in terms):
+        return itemgetter(*[pos[t.name] for t in terms])
+    # itemgetter of one index returns a bare value, not a 1-tuple
+    readers = [_term_reader(t, st, pos) for t in terms]
+    if len(readers) == 1:
+        (read,) = readers
+        return lambda row: (read(row),)
+    return lambda row: tuple([read(row) for read in readers])
+
+
+def _literal_test(f: Formula, st: Structure, pos: dict):
+    """The row predicate of an equality or (negated) relation atom."""
     if isinstance(f, Equality):
-        for row in rows:
-            if _term_value(f.left, st, pos, row) != _term_value(f.right, st, pos, row):
-                return False
-        return True
-    table = st.relations[f.name]
-    for row in rows:
-        held = _tuple_value(f.args, st, pos, row) in table
-        if held == f.negated:
-            return False
-    return True
+        left, right = _term_reader(f.left, st, pos), _term_reader(f.right, st, pos)
+        return lambda row: left(row) == right(row)
+    table, args = st.relations[f.name], _tuple_reader(f.args, st, pos)
+    if f.negated:
+        return lambda row: args(row) not in table
+    return lambda row: args(row) in table
 
 
-def _dep_conflicts(atom: DepAtom, st: Structure, pos: dict, rows):
+def _dep_conflicts(antecedent, consequent, rows):
     """Violations of a dependence atom, found in one grouping pass.
 
-    For each antecedent group that is not constant on the consequent,
-    yield the group's first row and the first later row of that group
-    whose consequent differs from it ("first" in the order of `rows`).
+    `antecedent` and `consequent` are the atom's tuple readers.  For each
+    antecedent group that is not constant on the consequent, yield the
+    group's first row and the first later row of that group whose
+    consequent differs from it ("first" in the order of `rows`).
     """
     first: dict = {}
-    for row in rows:
-        antecedent = _tuple_value(atom.antecedent, st, pos, row)
-        consequent = _tuple_value(atom.consequent, st, pos, row)
-        seen = first.setdefault(antecedent, (row, consequent))
-        if seen is not None and seen[1] != consequent:
-            first[antecedent] = None  # one pair per group
+    for row, a, c in zip(rows, map(antecedent, rows), map(consequent, rows)):
+        seen = first.setdefault(a, (row, c))
+        if seen is not None and seen[1] != c:
+            first[a] = None  # one pair per group
             yield seen[0], row
 
 
 # --- the compiled formula --------------------------------------------------------
 
 class _Node:
-    """An interned subformula with its sorted free variables, and with its
-    atom tables per registry id (optimized engine only)."""
+    """An interned subformula with its sorted free variables, and, for an
+    atom, its compiled readers: per registry id under ``optimized``, under
+    the key None for the run under ``fo_tarski``."""
 
     __slots__ = ("id", "formula", "left", "right", "free", "tables")
 
@@ -355,32 +380,37 @@ def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
 
 
 def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    f, st, rows = node.formula, run.structure, reg.rows
-    is_dep = isinstance(f, DepAtom)
-    if mask == reg.full():  # the whole registry: no table needed
-        if is_dep:
-            return next(_dep_conflicts(f, st, reg.pos, rows), None) is None
-        return _literal_holds(f, st, reg.pos, rows)
-    # per-row values over the registry, extended as the registry grows
+    f, st, pos = node.formula, run.structure, reg.pos
     table = node.tables.get(reg.id)
-    if table is None:
-        table = node.tables[reg.id] = [] if is_dep else [0, 0]
-    pos = reg.pos
-    if is_dep:
-        for row in rows[len(table):]:
-            antecedent = _tuple_value(f.antecedent, st, pos, row)
-            table.append((antecedent, _tuple_value(f.consequent, st, pos, row)))
+    if table is None:  # the readers, then per-row values over the registry
+        if isinstance(f, DepAtom):  # (antecedent, consequent) per row
+            readers = [_tuple_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
+            table = [*readers, []]
+        else:  # the mask of rows that pass the test, and how many rows it covers
+            table = [_literal_test(f, st, pos), 0, 0]
+        node.tables[reg.id] = table
+    rows, full = reg.rows, mask == reg.full()
+    if isinstance(f, DepAtom):
+        antecedent, consequent, values = table
+        if full:  # the whole registry: no per-row values needed
+            pairs = zip(map(antecedent, rows), map(consequent, rows))
+        else:
+            if len(values) < len(rows):  # the registry grew
+                new = rows[len(values):]
+                values.extend(zip(map(antecedent, new), map(consequent, new)))
+            pairs = map(values.__getitem__, _bits(mask))
         first: dict = {}
-        for i in _bits(mask):
-            antecedent, consequent = table[i]
-            if first.setdefault(antecedent, consequent) != consequent:
+        for a, c in pairs:
+            if first.setdefault(a, c) != c:
                 return False
         return True
-    ok, done = table
+    test, ok, done = table
+    if full:
+        return all(map(test, rows))
     if done < len(rows):
-        held = (i for i in range(done, len(rows)) if _literal_holds(f, st, pos, (rows[i],)))
-        table[0] = ok = ok | _mask_of(held, len(rows))
-        table[1] = len(rows)
+        held = (i for i in range(done, len(rows)) if test(rows[i]))
+        table[1] = ok = ok | _mask_of(held, len(rows))
+        table[2] = len(rows)
     return mask & ok == mask
 
 
@@ -456,7 +486,10 @@ def _fo_eval(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
             _fo(run, node.left, pos, row[:i] + (a,) + row[i + 1:])
             for a in range(run.structure.size)
         )
-    return _literal_holds(f, run.structure, pos, (row,))
+    test = node.tables.get(None)  # pos is fixed for the run
+    if test is None:
+        test = node.tables[None] = _literal_test(f, run.structure, pos)
+    return test(row)
 
 
 # --- entry points ------------------------------------------------------------------
@@ -526,8 +559,12 @@ def find_dep_violation(
     """First pair of rows (in canonical order) violating a dependence atom."""
     _compile(structure, team, atom)
     pos = {v: i for i, v in enumerate(team.domain)}
-    pair = min(_dep_conflicts(atom, structure, pos, team.sorted_rows()), default=None)
-    if pair is None:
+    antecedent = _tuple_reader(atom.antecedent, structure, pos)
+    consequent = _tuple_reader(atom.consequent, structure, pos)
+    # groups are independent, so only the rows of violated groups need order
+    violated = {antecedent(row) for row, _ in _dep_conflicts(antecedent, consequent, team.rows)}
+    if not violated:
         return None
-    first, second = pair
+    suspects = sorted(row for row in team.rows if antecedent(row) in violated)
+    first, second = min(_dep_conflicts(antecedent, consequent, suspects))
     return Assignment(team.domain, first), Assignment(team.domain, second)

@@ -172,7 +172,8 @@ class Team:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
+        if not isinstance(self.rows, frozenset):
+            object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
         if len(set(self.domain)) != len(self.domain):
             raise TeamError("team domain has duplicate variables")
         width = len(self.domain)
@@ -184,13 +185,12 @@ class Team:
     def from_named_rows(
         cls, domain: Sequence[str], rows: Iterable[Sequence[str]], structure: Structure
     ) -> "Team":
-        indexed = set()
-        for row in rows:
-            try:
-                indexed.add(tuple(structure.element_index(e) for e in row))
-            except StructureError as exc:
-                raise TeamError(str(exc)) from None
-        return cls(tuple(domain), frozenset(indexed))
+        index = structure._index.__getitem__
+        try:
+            indexed = frozenset(tuple(map(index, row)) for row in rows)
+        except KeyError as exc:
+            raise TeamError(f"element {exc.args[0]!r} is not in the universe") from None
+        return cls(tuple(domain), indexed)
 
     @classmethod
     def of_empty_assignment(cls) -> "Team":
@@ -380,25 +380,23 @@ def parse_team(text: str, structure: Structure) -> Team:
     an empty domain a lone ``-`` row denotes the empty assignment; this is
     how the one-row team over no variables is written down.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    _, header = next(lines, (0, None))
+    if header is None:
         raise TeamError("team file is empty")
-    _, header = lines[0]
-    domain = () if header.strip() == "-" else tuple(header.split())
+    domain = () if header == "-" else tuple(header.split())
     if len(set(domain)) != len(domain):
         raise TeamError("team header has duplicate variables")
-    rows = []
-    for lineno, line in lines[1:]:
-        if not domain and line.strip() == "-":
-            values: tuple[str, ...] = ()
-        else:
-            values = tuple(line.split())
-        if len(values) != len(domain):
-            raise TeamError(
-                f"line {lineno}: row has {len(values)} values, expected {len(domain)}"
-            )
-        rows.append(values)
-    return Team.from_named_rows(domain, rows, structure)
+    width = len(domain)
+
+    def rows():
+        for lineno, line in lines:
+            values = () if not domain and line == "-" else line.split()
+            if len(values) != width:
+                raise TeamError(f"line {lineno}: row has {len(values)} values, expected {width}")
+            yield values
+
+    return Team.from_named_rows(domain, rows(), structure)
 
 
 def team_to_text(team: Team, structure: Structure) -> str:

@@ -10,6 +10,7 @@ from teamcheck import (
     And,
     Assignment,
     BudgetExceededError,
+    Const,
     DepAtom,
     Engine,
     Structure,
@@ -77,6 +78,47 @@ def test_dep_violation_matches_pairwise_oracle():
             violated["multi-consequent"] += len(consequent) > 1
             violated["non-prefix"] += antecedent != prefix
     assert min(violated[k] for k in ("all", "constancy", "multi-consequent", "non-prefix")) >= 25
+
+
+def _term_at(structure, domain, term, row):
+    """A term's value on a row, read off the structure's tables directly."""
+    if isinstance(term, Var):
+        return row[domain.index(term.name)]
+    if isinstance(term, Const):
+        return structure.constants[term.name]
+    args = tuple(_term_at(structure, domain, a, row) for a in term.args)
+    return structure.functions[term.name][args]
+
+
+def test_dep_violation_on_larger_teams_matches_pairwise_oracle():
+    # teams large enough that several antecedent groups are violated at
+    # once, so the witness search is checked across groups
+    rng = random.Random(8080)
+    domain = ("u", "v", "w", "x", "y", "z")
+    multi_group = 0
+    for _ in range(200):
+        structure = random_structure(rng)
+        if structure.size < 2:
+            continue
+        candidates = list(itertools.product(range(structure.size), repeat=len(domain)))
+        rows = rng.sample(candidates, rng.randint(40, min(200, len(candidates))))
+        team = Team(domain, frozenset(rows))
+        pool = list(domain)
+        antecedent = tuple(random_term(rng, structure, pool) for _ in range(rng.randint(1, 2)))
+        consequent = tuple(random_term(rng, structure, pool) for _ in range(rng.randint(1, 2)))
+        atom = DepAtom(antecedent, consequent)
+        expected = dep_violation_pairwise(structure, team, atom)
+        pair = find_dep_violation(structure, team, atom)
+        assert (None if pair is None else tuple(a.values for a in pair)) == expected
+        # the violated antecedent groups, from term values read off the tables
+        groups = collections.defaultdict(set)
+        for row in team.rows:
+            key = tuple(_term_at(structure, domain, t, row) for t in antecedent)
+            groups[key].add(tuple(_term_at(structure, domain, t, row) for t in consequent))
+        violated = sum(len(values) > 1 for values in groups.values())
+        assert (violated == 0) == (expected is None)
+        multi_group += violated >= 2
+    assert multi_group >= 25
 
 
 # --- single clauses of the semantics ---------------------------------------------
@@ -147,6 +189,38 @@ def test_term_values_through_the_engines(engine, x):
     assert check(abc, team, fparse("x = one", abc), engine) == (x == "b")
     # a constant's value ignores the assignment
     assert check(abc, team, fparse("one = one", abc), engine)
+
+
+# atoms whose compiled row readers take a single term: a relation lookup
+# needs a 1-tuple, and a function table is keyed by argument tuples
+READER_CASES = ["R(x)", "!R(x)", "=(;y)", "=(x;y)", "f(f(x)) = one", "one = f(x)"]
+
+
+@pytest.mark.parametrize("text", READER_CASES)
+def test_single_term_readers_agree_with_naive(text):
+    abc = Structure(
+        ["a", "b", "c"],
+        relations={"R": (1, [("a",), ("b",)])},
+        functions={"f": (1, {"a": "b", "b": "c", "c": "a"})},
+        constants={"one": "b"},
+    )
+    atom = fparse(text, abc)
+    # under a split the atom is also decided on proper subteams (sub-masks)
+    split = fparse(f"({text}) | x = one", abc)
+    engines = [Engine.OPTIMIZED]
+    if not isinstance(atom, DepAtom):
+        engines.append(Engine.FO_TARSKI)
+    rows = list(itertools.product(range(3), repeat=2))
+    verdicts = collections.Counter()
+    for size in range(4):
+        for chosen in itertools.combinations(rows, size):
+            team = Team(("x", "y"), frozenset(chosen))
+            for f in (atom, split):
+                expected = check(abc, team, f, Engine.NAIVE)
+                verdicts[f is split, expected] += 1
+                for engine in engines:
+                    assert check(abc, team, f, engine) is expected, (text, chosen, engine)
+    assert min(verdicts.values()) > 0 and len(verdicts) == 4
 
 
 def test_reflight_3sat_instance_routes(pair):

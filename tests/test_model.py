@@ -297,6 +297,37 @@ def test_parse_team_rejects_unknown_values(abc):
         parse_team("x\nzz\n", abc)
 
 
+def test_parse_team_equals_named_rows_on_a_generated_team():
+    rng = random.Random(77)
+    structure = Structure([f"e{i}" for i in range(9)])
+    domain = ("w", "x", "y", "z")
+    rows = [tuple(rng.choice(structure.universe) for _ in domain) for _ in range(2000)]
+    lines = [" ".join(domain) + "  # header"]
+    for i, row in enumerate(rows):
+        lines.append(" ".join(row) if i % 97 else "\t" + "  ".join(row) + " # note")
+        if i % 250 == 0:
+            lines.append("")
+    team = parse_team("\n".join(lines) + "\n", structure)
+    assert team == Team.from_named_rows(domain, rows, structure)
+    assert team.rows == {tuple(map(structure.element_index, row)) for row in rows}
+    assert len(team) == len(set(rows)) < 2000
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["a b", "zz a", "a"], "element 'zz' is not in the universe"),
+        (["a b", "a", "zz a"], "line 3: row has 1 values, expected 2"),
+    ],
+    ids=["unknown-first", "ragged-first"],
+)
+def test_parse_team_reports_the_first_bad_row(abc, rows, message):
+    text = "x y\n" + "\n".join(rows) + "\n"
+    with pytest.raises(TeamError) as info:
+        parse_team(text, abc)
+    assert str(info.value) == message
+
+
 def test_parse_team_deduplicates_rows(abc):
     team = parse_team("x\na\na\nb\n", abc)
     assert len(team) == 2
