@@ -389,10 +389,10 @@ def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
         else:  # the mask of rows that pass the test, and how many rows it covers
             table = [_literal_test(f, st, pos), 0, 0]
         node.tables[reg.id] = table
-    rows, full = reg.rows, mask == reg.full()
+    rows = reg.rows
     if isinstance(f, DepAtom):
         antecedent, consequent, values = table
-        if full:  # the whole registry: no per-row values needed
+        if mask == reg.full():  # the whole registry: no per-row values needed
             pairs = zip(map(antecedent, rows), map(consequent, rows))
         else:
             if len(values) < len(rows):  # the registry grew
@@ -405,8 +405,6 @@ def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
                 return False
         return True
     test, ok, done = table
-    if full:
-        return all(map(test, rows))
     if done < len(rows):
         held = (i for i in range(done, len(rows)) if test(rows[i]))
         table[1] = ok = ok | _mask_of(held, len(rows))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Structure
+from .model import Structure, _content_lines
 
 
 class GraphError(ValueError):
@@ -230,30 +230,21 @@ def treewidth_greedy(graph: Graph) -> tuple[int, TreeDecomposition]:
 def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecomposition:
     """Build the tree decomposition induced by an elimination ordering.
 
-    Each eliminated vertex contributes the bag {v} + its neighborhood at
-    elimination time, attached to the most recently created bag containing
-    that neighborhood; for edgeless graphs this chains singleton bags into
-    a path.
+    Bag i holds order[i] and its neighbours when it is eliminated.  It hangs
+    on the bag of the neighbour eliminated first, which holds the others, or
+    on bag i+1 when no neighbours are left; for edgeless graphs this chains
+    singleton bags into a path.
     """
     labels = graph.vertices
     adj = _index_adjacency(graph)
-    steps: list[tuple[int, frozenset[int]]] = []
-    for v in order[:-1]:
-        steps.append((v, frozenset(adj[v])))
-        _eliminate(adj, v)
-    bags: list[frozenset] = [frozenset({labels[order[-1]]})]
+    step = {v: i for i, v in enumerate(order)}
+    bags: list[frozenset] = []
     edges: list[tuple[int, int]] = []
-    for v, clique in reversed(steps):
-        named_clique = frozenset(labels[u] for u in clique)
-        target = None
-        for i in range(len(bags) - 1, -1, -1):
-            if named_clique <= bags[i]:
-                target = i
-                break
-        if target is None:  # cannot happen for orders produced above
-            raise GraphError("elimination order does not induce a decomposition")
-        bags.append(named_clique | {labels[v]})
-        edges.append((target, len(bags) - 1))
+    for i, v in enumerate(order[:-1]):
+        bags.append(frozenset(labels[u] for u in adj[v] | {v}))
+        edges.append((i, min(map(step.__getitem__, adj[v]), default=i + 1)))
+        _eliminate(adj, v)
+    bags.append(frozenset({labels[order[-1]]}))
     return TreeDecomposition(tuple(bags), frozenset(edges))
 
 
@@ -350,10 +341,7 @@ def decomposition_to_text(decomposition: TreeDecomposition) -> str:
 def decomposition_from_text(text: str) -> TreeDecomposition:
     bags: dict[int, frozenset[str]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "bag":
             if len(parts) < 2 or not parts[1].rstrip(":").isdigit():

@@ -34,6 +34,7 @@ from .syntax import (
     tokenize,
     FormulaSyntaxError,
     _IDENT,
+    _infix,
     _Parser,
     KEYWORDS,
 )
@@ -242,57 +243,40 @@ PDLFormula = Union[PropLit, PDLDep, PDLAnd, PDLOr]
 
 def pdl_propositions(formula: PDLFormula) -> tuple[str, ...]:
     """Propositions in first-occurrence order."""
-    out: list[str] = []
-
-    def add(name: str) -> None:
-        if name not in out:
-            out.append(name)
-
-    def walk(f: PDLFormula) -> None:
+    names: dict[str, None] = {}
+    stack = [formula]
+    while stack:
+        f = stack.pop()
         if isinstance(f, PropLit):
-            add(f.name)
+            names[f.name] = None
         elif isinstance(f, PDLDep):
-            for name in f.antecedent + f.consequent:
-                add(name)
+            names.update(dict.fromkeys(f.antecedent + f.consequent))
         else:
-            walk(f.left)
-            walk(f.right)
-
-    walk(formula)
-    return tuple(out)
+            stack += (f.right, f.left)
+    return tuple(names)
 
 
 class _PDLParser(_Parser):
-    """Proposition-only restriction of the formula grammar: no quantifiers,
-    no equality, and dependence atoms range over bare propositions."""
+    """Proposition-only restriction of the formula grammar.
 
-    OR, AND = PDLOr, PDLAnd
+    `_Parser` reads connectives, parentheses and dependence atoms, building
+    this grammar's nodes, and no quantifiers.  Overridden: `term` reads a
+    bare proposition; `relatom` and `atom` make a (negated) proposition test.
+    """
 
-    def proposition(self) -> str:
+    OR, AND, DEP, QUANTIFIERS = PDLOr, PDLAnd, PDLDep, {}
+
+    def term(self) -> str:
         tok, pos = self._next()
         if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
             raise FormulaSyntaxError(f"expected a proposition, found {tok!r}", pos)
         return tok
 
-    def unit(self) -> PDLFormula:
-        tok = self._peek()
-        if tok == "(":
-            self._next()
-            node = self.disj()
-            self._expect(")")
-            return node
-        if tok == "!":
-            self._next()
-            return PropLit(self.proposition(), negated=True)
-        if tok == "=":
-            self._next()
-            self._expect("(")
-            antecedent = [] if self._peek() == ";" else self._items(self.proposition)
-            self._expect(";")
-            consequent = self._items(self.proposition)
-            self._expect(")")
-            return PDLDep(tuple(antecedent), tuple(consequent))
-        return PropLit(self.proposition())
+    def relatom(self, negated: bool) -> PropLit:
+        return PropLit(self.term(), negated)
+
+    def atom(self) -> PropLit:
+        return self.relatom(negated=False)
 
 
 def parse_pdl(text: str) -> PDLFormula:
@@ -307,18 +291,7 @@ def pretty_pdl(formula: PDLFormula) -> str:
         return f"{'!' if formula.negated else ''}{formula.name}"
     if isinstance(formula, PDLDep):
         return f"=({','.join(formula.antecedent)};{','.join(formula.consequent)})"
-    if isinstance(formula, PDLOr):
-        right = pretty_pdl(formula.right)
-        if isinstance(formula.right, PDLOr):
-            right = f"({right})"
-        return f"{pretty_pdl(formula.left)} | {right}"
-    left = pretty_pdl(formula.left)
-    if isinstance(formula.left, PDLOr):
-        left = f"({left})"
-    right = pretty_pdl(formula.right)
-    if isinstance(formula.right, (PDLAnd, PDLOr)):
-        right = f"({right})"
-    return f"{left} & {right}"
+    return _infix(formula, pretty_pdl, PDLOr, PDLAnd)
 
 
 def pdl_check(assignments: Iterable[Mapping[str, int]], formula: PDLFormula) -> bool:

@@ -272,6 +272,21 @@ def pretty_term(term: Term) -> str:
     return f"{term.name}({','.join(pretty_term(a) for a in term.args)})"
 
 
+def _infix(formula, show, OR: type, AND: type) -> str:
+    """Print an `OR` or `AND` node, its operands by `show`: both connectives
+    associate left, and '&' binds tighter than '|'."""
+    left, right = show(formula.left), show(formula.right)
+    if isinstance(formula, OR):
+        if isinstance(formula.right, OR):
+            right = f"({right})"
+        return f"{left} | {right}"
+    if isinstance(formula.left, OR):
+        left = f"({left})"
+    if isinstance(formula.right, (AND, OR)):
+        right = f"({right})"
+    return f"{left} & {right}"
+
+
 def pretty(formula: Formula) -> str:
     """Render in the concrete grammar; ``parse_formula`` gives back an equal tree."""
     if isinstance(formula, Equality):
@@ -283,20 +298,8 @@ def pretty(formula: Formula) -> str:
         ante = ",".join(pretty_term(t) for t in formula.antecedent)
         cons = ",".join(pretty_term(t) for t in formula.consequent)
         return f"=({ante};{cons})"
-    if isinstance(formula, Or):
-        left = pretty(formula.left)
-        right = pretty(formula.right)
-        if isinstance(formula.right, Or):
-            right = f"({right})"
-        return f"{left} | {right}"
-    if isinstance(formula, And):
-        left = pretty(formula.left)
-        if isinstance(formula.left, Or):
-            left = f"({left})"
-        right = pretty(formula.right)
-        if isinstance(formula.right, (And, Or)):
-            right = f"({right})"
-        return f"{left} & {right}"
+    if isinstance(formula, (And, Or)):
+        return _infix(formula, pretty, Or, And)
     if isinstance(formula, (Exists, Forall)):
         word = "exists" if isinstance(formula, Exists) else "forall"
         body = pretty(formula.body)
@@ -325,9 +328,10 @@ def tokenize(text: str) -> list[tuple[str, int]]:
 
 class _Parser:
     """Recursive descent over a token list; the PDL parser reuses it with
-    its own connectives and units."""
+    its own node classes, no quantifiers, and its own leaf rules."""
 
-    OR, AND = Or, And
+    OR, AND, DEP = Or, And, DepAtom
+    QUANTIFIERS = {"exists": Exists, "forall": Forall}
 
     def __init__(
         self, tokens: list[tuple[str, int]], end: int, vocab: Vocabulary = EMPTY_VOCABULARY
@@ -391,11 +395,13 @@ class _Parser:
         if tok == "!":
             self._next()
             return self.relatom(negated=True)
-        if tok in ("forall", "exists"):
+        if tok == "=":
+            return self.depatom()
+        quantifier = self.QUANTIFIERS.get(tok)
+        if quantifier is not None:
             self._next()
             var = self.variable_name()
-            body = self.unit()
-            return Exists(var, body) if tok == "exists" else Forall(var, body)
+            return quantifier(var, self.unit())
         return self.atom()
 
     def variable_name(self) -> str:
@@ -414,8 +420,6 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", self.end)
-        if tok == "=":
-            return self.depatom()
         if tok in self.vocab.relations and self._peek(1) == "(":
             return self.relatom(negated=False)
         left = self.term()
@@ -448,7 +452,7 @@ class _Parser:
         self._expect(";")
         consequent = self._items(self.term)
         self._expect(")")
-        return DepAtom(tuple(antecedent), tuple(consequent))
+        return self.DEP(tuple(antecedent), tuple(consequent))
 
     def term(self) -> Term:
         tok, pos = self._next()

@@ -253,6 +253,24 @@ def test_reduce_pdl_formula_file(tmp_path, capsys):
     assert run_cli("check", f"{prefix}.structure", f"{prefix}.team", f"{prefix}.formula") == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        " & ".join(["p1"] * 5000),
+        "(" * 3000 + "p1" + ")" * 3000,
+        " | ".join(["p1"] * 3000),
+    ],
+    ids=["conjunction-5000", "parens-3000", "split-3000"],
+)
+def test_reduce_pdl_deep_formula_exits_two(tmp_path, capsys, text):
+    source = write(tmp_path / "f.pdl", text + "\n")
+    rc = run_cli("reduce", "pdl", source, str(tmp_path / "pdl"))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: formula is nested too deeply\n"
+
+
 def test_reduce_bad_input_exits_two(tmp_path, capsys):
     bad = write(tmp_path / "bad.cnf", "p cnf 2 1\n1 2 0\n")
     rc = run_cli("reduce", "3sat", bad, str(tmp_path / "x"))

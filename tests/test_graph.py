@@ -261,6 +261,20 @@ def test_greedy_never_beats_exact():
 
 # --- validation ------------------------------------------------------------------------
 
+def test_decompositions_have_one_bag_per_vertex_and_the_returned_width():
+    rng = random.Random(31)
+    for _ in range(300):
+        small = random_graph(rng, rng.randint(1, 12), p=rng.choice((0.2, 0.4, 0.6)))
+        large = random_graph(rng, rng.randint(1, 30), p=rng.choice((0.05, 0.15, 0.3)))
+        for graph, (width, decomposition) in (
+            (small, treewidth_exact(small)),
+            (large, treewidth_greedy(large)),
+        ):
+            assert validate_decomposition(graph, decomposition)
+            assert len(decomposition.bags) == len(graph.vertices)
+            assert decomposition.width == width
+
+
 def test_reference_decomposition_is_valid(departures_structure):
     graph = gaifman(departures_structure)
     decomposition = departures_reference_decomposition()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -184,10 +185,27 @@ def test_parse_pdl():
 
 
 def test_parse_pdl_rejects_quantifiers_and_equality():
-    with pytest.raises(FormulaSyntaxError):
-        parse_pdl("exists p1 p1")
-    with pytest.raises(FormulaSyntaxError):
-        parse_pdl("p1 = p2")
+    for text, message in (
+        ("exists p1 p1", "expected a proposition, found 'exists' (at position 0)"),
+        ("forall", "expected a proposition, found 'forall' (at position 0)"),
+        ("p1 = p2", "unexpected token '=' after formula (at position 3)"),
+        ("!(p)", "expected a proposition, found '(' (at position 1)"),
+        ("=(p;)", "expected a proposition, found ')' (at position 4)"),
+        ("=(p q)", "expected ';', found 'q' (at position 4)"),
+        ("", "unexpected end of input (at position 0)"),
+    ):
+        with pytest.raises(FormulaSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_pdl(text)
+
+
+def test_pdl_round_trip_and_proposition_order():
+    rng = random.Random(909)
+    for _ in range(500):
+        f = random_pdl(rng, ("p1", "p2", "q", "r"), depth=rng.randint(0, 4))
+        text = pretty_pdl(f)
+        assert parse_pdl(text) == f
+        names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+        assert pdl_propositions(f) == tuple(dict.fromkeys(names))
 
 
 def test_pdl_check_empty_team():
