@@ -13,8 +13,9 @@ Three engines decide whether a structure and a team satisfy a formula:
   of a satisfying team satisfies the formula); the test suite checks this
   equivalence against ``naive`` instead of assuming it.  It numbers the
   rows met over each variable domain in one registry per domain, so a
-  subteam is an int mask over its domain's registry, and it memoizes
-  results per (interned subformula, registry, mask).
+  subteam is an int mask over its domain's registry, and it keeps one
+  memo table per (interned subformula, registry), keyed by the bare mask;
+  the split and existential loops probe those tables directly.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness).  It
   memoizes per (interned subformula, values of its free variables), so
@@ -25,14 +26,16 @@ Three engines decide whether a structure and a team satisfy a formula:
 variables, closures over the structure's tables for constants and
 functions.  Only ``naive``, the oracle, walks an atom's terms per row.
 
-Every engine counts node expansions (one per evaluated subproblem)
-against an optional work budget and raises BudgetExceededError when the
-budget is exhausted; it never silently approximates.
+Every engine counts node expansions (one per evaluated subproblem: a memo
+miss; hits are free) against an optional work budget and raises
+BudgetExceededError when the budget is exhausted; it never silently
+approximates.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -87,7 +90,7 @@ class _Run:
         self.structure = structure
         self.budget = budget
         self.expansions = 0
-        self.memo: dict = {}
+        self.memo: dict = {}  # fo_tarski only
         self.registries: dict = {}  # domain -> _Registry, optimized engine only
 
     def tick(self) -> None:
@@ -166,11 +169,11 @@ def _dep_conflicts(antecedent, consequent, rows):
 # --- the compiled formula --------------------------------------------------------
 
 class _Node:
-    """An interned subformula with its sorted free variables, and, for an
-    atom, its compiled readers: per registry id under ``optimized``, under
-    the key None for the run under ``fo_tarski``."""
+    """An interned subformula with its sorted free variables, its ``optimized``
+    step, and, for an atom, its compiled readers: per registry id under
+    ``optimized``, under the key None for the run under ``fo_tarski``."""
 
-    __slots__ = ("id", "formula", "left", "right", "free", "tables")
+    __slots__ = ("id", "formula", "left", "right", "free", "step", "tables")
 
     def __init__(self, node_id: int, formula: Formula, left, right, free: tuple):
         self.id = node_id
@@ -178,6 +181,7 @@ class _Node:
         self.left = left  # the body, for a quantifier
         self.right = right
         self.free = free
+        self.step = _STEPS.get(type(formula), _literal_step)
         self.tables: dict = {}
 
 
@@ -314,14 +318,14 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 # A subteam is an int mask over a row registry.  Each variable domain has one
 # registry, which numbers the rows met over that domain in order of first
 # appearance; the root registry is the team's rows.  Subformulas are interned
-# by structural equality, so the memo key (node id, registry id, mask) has the
-# classes of (subformula, domain, rows).
+# by structural equality, and each registry keeps one memo table per
+# subformula, keyed by the bare mask.
 
 
 class _Registry:
     """The rows met over one variable domain, numbered as they appear."""
 
-    __slots__ = ("id", "domain", "pos", "rows", "index", "ext")
+    __slots__ = ("id", "domain", "pos", "rows", "index", "ext", "memos")
 
     def __init__(self, reg_id: int, domain: tuple, pos: dict, rows: list):
         self.id = reg_id
@@ -330,6 +334,7 @@ class _Registry:
         self.rows = rows
         self.index: dict | None = None  # row -> number, built on first need
         self.ext: dict = {}  # var -> (child registry, extend, per-row child numbers)
+        self.memos: defaultdict = defaultdict(dict)  # node id -> {mask: result}
 
     def number(self, row: tuple) -> int:
         index = self.index
@@ -379,32 +384,34 @@ def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
     return child, table
 
 
-def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    f, st, pos = node.formula, run.structure, reg.pos
+def _dep_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     table = node.tables.get(reg.id)
-    if table is None:  # the readers, then per-row values over the registry
-        if isinstance(f, DepAtom):  # (antecedent, consequent) per row
-            readers = [_tuple_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
-            table = [*readers, []]
-        else:  # the mask of rows that pass the test, and how many rows it covers
-            table = [_literal_test(f, st, pos), 0, 0]
-        node.tables[reg.id] = table
+    if table is None:  # the readers, then (antecedent, consequent) per row
+        f, st, pos = node.formula, run.structure, reg.pos
+        readers = [_tuple_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
+        table = node.tables[reg.id] = [*readers, []]
+    antecedent, consequent, values = table
     rows = reg.rows
-    if isinstance(f, DepAtom):
-        antecedent, consequent, values = table
-        if mask == reg.full():  # the whole registry: no per-row values needed
-            pairs = zip(map(antecedent, rows), map(consequent, rows))
-        else:
-            if len(values) < len(rows):  # the registry grew
-                new = rows[len(values):]
-                values.extend(zip(map(antecedent, new), map(consequent, new)))
-            pairs = map(values.__getitem__, _bits(mask))
-        first: dict = {}
-        for a, c in pairs:
-            if first.setdefault(a, c) != c:
-                return False
-        return True
+    if mask == reg.full():  # the whole registry: no per-row values needed
+        pairs = zip(map(antecedent, rows), map(consequent, rows))
+    else:
+        if len(values) < len(rows):  # the registry grew
+            new = rows[len(values):]
+            values.extend(zip(map(antecedent, new), map(consequent, new)))
+        pairs = map(values.__getitem__, _bits(mask))
+    first: dict = {}
+    for a, c in pairs:
+        if first.setdefault(a, c) != c:
+            return False
+    return True
+
+
+def _literal_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    table = node.tables.get(reg.id)
+    if table is None:  # the test, the mask of rows that pass it, how many rows it covers
+        table = node.tables[reg.id] = [_literal_test(node.formula, run.structure, reg.pos), 0, 0]
     test, ok, done = table
+    rows = reg.rows
     if done < len(rows):
         held = (i for i in range(done, len(rows)) if test(rows[i]))
         table[1] = ok = ok | _mask_of(held, len(rows))
@@ -413,47 +420,68 @@ def _atom_holds(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
 
 
 def _opt(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    key = (node.id, reg.id, mask)
-    memo = run.memo
-    result = memo.get(key)
+    table = reg.memos[node.id]
+    result = table.get(mask)
     if result is None:
-        run.tick()
-        result = memo[key] = _opt_eval(run, node, reg, mask)
+        result = _miss(run, node, reg, mask, table)
     return result
 
 
-def _opt_eval(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    f = node.formula
-    if isinstance(f, Or):
-        # partitions only, in Gray-code order over the rows sorted by value:
-        # step k moves the row whose bit is the lowest set bit of k
-        moves = [1 << i for i in _bits_by_row(reg, mask)]
-        left_node, right_node = node.left, node.right
-        left = 0
-        for k in range(1 << len(moves)):
-            if k:
-                left ^= moves[(k & -k).bit_length() - 1]
-            if _opt(run, left_node, reg, left) and _opt(run, right_node, reg, mask ^ left):
+def _miss(run: _Run, node: _Node, reg: _Registry, mask: int, table: dict) -> bool:
+    """Count and decide a subproblem that `table`, its memo, lacks."""
+    run.tick()
+    result = table[mask] = node.step(run, node, reg, mask)
+    return result
+
+
+def _or_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    # partitions only, in Gray-code order over the rows sorted by value:
+    # step k moves the row whose bit is the lowest set bit of k
+    moves = [1 << i for i in _bits_by_row(reg, mask)]
+    left_node, right_node = node.left, node.right
+    left_table, right_table = reg.memos[left_node.id], reg.memos[right_node.id]
+    left = 0
+    for k in range(1 << len(moves)):
+        if k:
+            left ^= moves[(k & -k).bit_length() - 1]
+        held = left_table.get(left)  # None: a miss, decided by _miss
+        if held or held is None and _miss(run, left_node, reg, left, left_table):
+            right = mask ^ left
+            held = right_table.get(right)
+            if held or held is None and _miss(run, right_node, reg, right, right_table):
                 return True
-        return False
-    if isinstance(f, And):
-        return _opt(run, node.left, reg, mask) and _opt(run, node.right, reg, mask)
-    if isinstance(f, Exists):
-        # singleton-valued supplementing functions only
-        child, table = _extension_table(run, reg, f.var, mask)
-        choices = [[1 << j for j in table[i]] for i in _bits_by_row(reg, mask)]
-        for combo in itertools.product(*choices):
-            child_mask = 0
-            for bit in combo:
-                child_mask |= bit
-            if _opt(run, node.left, child, child_mask):
-                return True
-        return False
-    if isinstance(f, Forall):
-        child, table = _extension_table(run, reg, f.var, mask)
-        numbers = (j for i in _bits(mask) for j in table[i])
-        return _opt(run, node.left, child, _mask_of(numbers, len(child.rows)))
-    return _atom_holds(run, node, reg, mask)
+    return False
+
+
+def _and_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    return _opt(run, node.left, reg, mask) and _opt(run, node.right, reg, mask)
+
+
+def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    # singleton-valued supplementing functions only; two rows may extend to
+    # the same child row, so a child mask is the OR of the chosen bits
+    child, numbers = _extension_table(run, reg, node.formula.var, mask)
+    choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
+    body, table = node.left, child.memos[node.left.id]
+    for combo in itertools.product(*choices):
+        child_mask = 0
+        for bit in combo:
+            child_mask |= bit
+        held = table.get(child_mask)
+        if held or held is None and _miss(run, body, child, child_mask, table):
+            return True
+    return False
+
+
+def _forall_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+    child, table = _extension_table(run, reg, node.formula.var, mask)
+    numbers = (j for i in _bits(mask) for j in table[i])
+    return _opt(run, node.left, child, _mask_of(numbers, len(child.rows)))
+
+
+_STEPS = {
+    Or: _or_step, And: _and_step, Exists: _exists_step, Forall: _forall_step, DepAtom: _dep_step
+}
 
 
 # --- classical engine ----------------------------------------------------------

@@ -406,6 +406,101 @@ def test_optimized_budget_boundary():
     assert info.value.expansions == 1537
 
 
+def _skolem_instance(rows):
+    # y must be an E-successor of x that depends on z alone: a z-group is
+    # satisfiable when its x values share a successor
+    digraph = Structure(
+        ["0", "1", "2", "3"],
+        relations={"E": (2, [("0", "1"), ("0", "2"), ("1", "2"), ("1", "3"),
+                             ("2", "3"), ("3", "0"), ("2", "0")])},
+    )
+    team = Team.from_named_rows(("x", "z"), rows, digraph)
+    return digraph, team, fparse("exists y (E(x,y) & =(z;y))", digraph)
+
+
+# groups z=0: {0,1} share 2; z=1: {2,3} share 0, then {2,3,0} share nothing
+_SKOLEM_SAT = [("0", "0"), ("1", "0"), ("2", "1"), ("3", "1"), ("1", "2")]
+_SKOLEM_UNSAT = [("0", "0"), ("1", "0"), ("2", "1"), ("3", "1"), ("0", "1")]
+
+
+@pytest.mark.parametrize(
+    "rows,satisfied,expansions", [(_SKOLEM_SAT, True, 1356), (_SKOLEM_UNSAT, False, 2065)]
+)
+def test_optimized_existential_pinned_with_budget_boundary(rows, satisfied, expansions):
+    structure, team, formula = _skolem_instance(rows)
+    assert len(team) == 5
+    outcome = run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions)
+    assert (outcome.satisfied, outcome.expansions) == (satisfied, expansions)
+    with pytest.raises(BudgetExceededError) as info:
+        run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions - 1)
+    assert info.value.expansions == expansions
+
+
+def _conjoined_with_itself(instance):
+    # a satisfied conjunct is probed twice as one interned node: the second
+    # probe is a hit
+    structure, team, formula = instance
+    return structure, team, And(formula, formula)
+
+
+_MEMO_CASES = [
+    _reduced(_UNSAT_9_ROWS),
+    _reduced(_UNSAT_12_ROWS),
+    _skolem_instance(_SKOLEM_UNSAT),
+    _conjoined_with_itself(_skolem_instance(_SKOLEM_SAT)),
+    *(random_instance(random.Random(seed)) for seed in (133, 700, 738, 2961)),
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(_MEMO_CASES)),
+    ids=["3sat-9", "3sat-12", "skolem-unsat", "skolem-sat-twice", "133", "700", "738", "2961"],
+)
+def test_optimized_memo_holds_one_entry_per_expansion(monkeypatch, case):
+    # every miss is stored once, and no hit is counted
+    from teamcheck import evaluator
+
+    runs = []
+
+    class RecordedRun(evaluator._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(evaluator, "_Run", RecordedRun)
+    structure, team, formula = _MEMO_CASES[case]
+    outcome = run_check(structure, team, formula, Engine.OPTIMIZED)
+    (run,) = runs
+    tables = [table for reg in run.registries.values() for table in reg.memos.values()]
+    assert sum(map(len, tables)) == outcome.expansions > 0
+    assert run.memo == {}
+
+
+def test_existential_collisions_agree_with_naive():
+    # `exists x` over a team that binds x: rows that differ only in x extend
+    # to the same child row, which a child mask must hold once
+    rng = random.Random(1044)
+    bodies = ["=(y;x)", "=(;x)", "E(y,x) & =(;x)", "R(x) & =(y;x)",
+              "=(;x) | =(y;x)", "forall z =(x;z) & E(y,x)"]
+    universe = ["a0", "a1", "a2"]
+    verdicts = collections.Counter()
+    for _ in range(60):
+        structure = Structure(universe, relations={
+            "R": (1, [(u,) for u in universe if rng.random() < 0.6]),
+            "E": (2, [p for p in itertools.product(universe, repeat=2) if rng.random() < 0.6]),
+        })
+        rows = rng.sample(list(itertools.product(range(3), repeat=2)), rng.randint(2, 3))
+        team = Team(("x", "y"), frozenset(rows))
+        collides = len({y for _, y in rows}) < len(rows)
+        for body in bodies:
+            f = fparse(f"exists x ({body})", structure)
+            expected = check(structure, team, f, Engine.NAIVE)
+            assert check(structure, team, f, Engine.OPTIMIZED) is expected, (rows, body)
+            verdicts[collides, expected] += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 4
+
+
 def test_optimized_on_masks_wider_than_a_word():
     structure = Structure(["0", "1"])
     domain = ("x", "y", "z") + tuple(f"v{i}" for i in range(9))
