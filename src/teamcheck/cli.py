@@ -91,12 +91,15 @@ def build_report(structure: Structure, team: Team, formula: Formula) -> Paramete
     )
 
 
+def _read(path: str) -> str:
+    """An input file as UTF-8 text, without a leading byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_instance(args) -> tuple[Structure, Team, Formula]:
-    structure = parse_structure(Path(args.structure_file).read_text())
-    team = parse_team(Path(args.team_file).read_text(), structure)
-    formula = parse_formula(
-        Path(args.formula_file).read_text().strip(), structure.vocabulary()
-    )
+    structure = parse_structure(_read(args.structure_file))
+    team = parse_team(_read(args.team_file), structure)
+    formula = parse_formula(_read(args.formula_file).strip(), structure.vocabulary())
     return structure, team, formula
 
 
@@ -130,7 +133,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    text = Path(args.input_file).read_text()
+    text = _read(args.input_file)
     if args.kind == "3sat":
         structure, team, formula = reduce_3sat(parse_dimacs(text))
     else:

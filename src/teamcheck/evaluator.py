@@ -25,6 +25,9 @@ Three engines decide whether a structure and a team satisfy a formula:
 ``fo_tarski`` once per run, into row readers: ``operator.itemgetter`` for
 variables, closures over the structure's tables for constants and
 functions.  Only ``naive``, the oracle, walks an atom's terms per row.
+A dependence atom reads each side as a key: the bare value for one term
+(``itemgetter`` itself, for one variable), a tuple for several.  Keys are
+hashed and compared only with keys of the same reader.
 
 Every engine counts node expansions (one per evaluated subproblem: a memo
 miss; hits are free) against an optional work budget and raises
@@ -139,6 +142,15 @@ def _tuple_reader(terms, st: Structure, pos: dict):
     return lambda row: tuple([read(row) for read in readers])
 
 
+def _key_reader(terms, st: Structure, pos: dict):
+    """A function from a row to a key of the terms' values: a bare value
+    for one term, a tuple otherwise.  Keys of one reader are compared
+    only with each other."""
+    if len(terms) == 1:
+        return _term_reader(terms[0], st, pos)
+    return _tuple_reader(terms, st, pos)
+
+
 def _literal_test(f: Formula, st: Structure, pos: dict):
     """The row predicate of an equality or (negated) relation atom."""
     if isinstance(f, Equality):
@@ -153,7 +165,7 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
 def _dep_conflicts(antecedent, consequent, rows):
     """Violations of a dependence atom, found in one grouping pass.
 
-    `antecedent` and `consequent` are the atom's tuple readers.  For each
+    `antecedent` and `consequent` are the atom's key readers.  For each
     antecedent group that is not constant on the consequent, yield the
     group's first row and the first later row of that group whose
     consequent differs from it ("first" in the order of `rows`).
@@ -388,7 +400,7 @@ def _dep_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     table = node.tables.get(reg.id)
     if table is None:  # the readers, then (antecedent, consequent) per row
         f, st, pos = node.formula, run.structure, reg.pos
-        readers = [_tuple_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
+        readers = [_key_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
         table = node.tables[reg.id] = [*readers, []]
     antecedent, consequent, values = table
     rows = reg.rows
@@ -585,8 +597,8 @@ def find_dep_violation(
     """First pair of rows (in canonical order) violating a dependence atom."""
     _compile(structure, team, atom)
     pos = {v: i for i, v in enumerate(team.domain)}
-    antecedent = _tuple_reader(atom.antecedent, structure, pos)
-    consequent = _tuple_reader(atom.consequent, structure, pos)
+    antecedent = _key_reader(atom.antecedent, structure, pos)
+    consequent = _key_reader(atom.consequent, structure, pos)
     # groups are independent, so only the rows of violated groups need order
     violated = {antecedent(row) for row, _ in _dep_conflicts(antecedent, consequent, team.rows)}
     if not violated:

@@ -379,7 +379,29 @@ def parse_team(text: str, structure: Structure) -> Team:
     A lone ``-`` as the header denotes the empty variable domain, and over
     an empty domain a lone ``-`` row denotes the empty assignment; this is
     how the one-row team over no variables is written down.
+
+    A text with no ``#``, whose first line is a header of distinct
+    variables other than ``-`` and whose other lines each hold no value or
+    header-many values, is read in bulk: C-level iterators split its lines
+    and map their values to indices, with no Python code per row.  Any
+    other text, and a text naming an element outside the universe, is read
+    line by line, which reports the first bad row in file order.
     """
+    lines = text.splitlines()
+    if lines and "#" not in text:
+        domain = tuple(lines[0].split())
+        width = len(domain)
+        if (
+            domain not in ((), ("-",))
+            and len(set(domain)) == width
+            and set(map(len, map(str.split, itertools.islice(lines, 1, None)))) <= {0, width}
+        ):
+            tokens = itertools.chain.from_iterable(map(str.split, itertools.islice(lines, 1, None)))
+            values = map(structure._index.__getitem__, tokens)
+            try:  # zip drops a short last row, which the width test rules out
+                return Team(domain, frozenset(zip(*[values] * width)))
+            except KeyError:
+                pass
     lines = _content_lines(text)
     _, header = next(lines, (0, None))
     if header is None:

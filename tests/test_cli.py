@@ -128,6 +128,44 @@ def test_input_errors_exit_two(tmp_path, capsys, role, content, message):
         assert message in captured.err
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    plain = {
+        "structure": (DATA / "flights.structure").read_bytes(),
+        "team": (DATA / "flights.team").read_bytes(),
+        "sat": b"=(Flight,Date,Time;Destination,Gate)\n",
+        "unsat": b"=(Destination,Gate;Time)\n",
+        "cnf": b"p cnf 2 2\n1 2 2 0\n-1 -2 -2 0\n",
+        "pdl": b"=(p1;p2) | p1\n",
+    }
+
+    def outputs(prefix: bytes) -> list:
+        paths = {}
+        for name, data in plain.items():
+            paths[name] = tmp_path / f"{name}.{len(prefix)}"
+            paths[name].write_bytes(prefix + data)
+        files = [str(paths[name]) for name in ("structure", "team")]
+        seen = []
+        for argv in (
+            ("check", *files, str(paths["sat"])),
+            ("check", *files, str(paths["unsat"])),
+            ("params", *files, str(paths["sat"])),
+        ):
+            rc = run_cli(*argv)
+            seen.append((rc, capsys.readouterr()))
+        for kind, source in (("3sat", "cnf"), ("pdl", "pdl")):
+            out = tmp_path / f"{kind}-{len(prefix)}"
+            assert run_cli("reduce", kind, str(paths[source]), str(out)) == 0
+            capsys.readouterr()
+            seen.append([out.with_suffix(s).read_bytes() for s in (".structure", ".team", ".formula")])
+        return seen
+
+    expected = outputs(b"")
+    assert [rc for rc, _ in expected[:3]] == [0, 1, 0]
+    assert "witness_row1=" in expected[1][1].out
+    assert outputs(bom) == expected
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -223,6 +223,39 @@ def test_single_term_readers_agree_with_naive(text):
     assert min(verdicts.values()) > 0 and len(verdicts) == 4
 
 
+# dependence atoms whose keys are bare values or tuples mixing variables with
+# other terms; the others in the list above and the 500-team oracle test cover
+# the rest.  f merges a and b, so f(x) groups rows that x tells apart.
+DEP_KEY_CASES = ["=(f(x);y)", "=(one;y)", "=(x,f(y);z)", "exists y (E(y,z) & =(x;y))"]
+
+
+@pytest.mark.parametrize("text", DEP_KEY_CASES)
+def test_dependence_keys_agree_with_the_oracles(text):
+    abc = Structure(
+        ["a", "b", "c"],
+        relations={"E": (2, [("a", "a"), ("a", "b"), ("b", "c"), ("c", "c")])},
+        functions={"f": (1, {"a": "b", "b": "b", "c": "a"})},
+        constants={"one": "b"},
+    )
+    formula = fparse(text, abc)
+    split = fparse(f"({text}) | x = one", abc)
+    rng = random.Random(text)
+    rows = list(itertools.product(range(3), repeat=3))
+    most = 5 if isinstance(formula, DepAtom) else 3  # naive's existential is (2^3-1)^rows
+    verdicts = collections.Counter()
+    for _ in range(150):
+        team = Team(("x", "y", "z"), frozenset(rng.sample(rows, rng.randint(0, most))))
+        for f in (formula, split):
+            expected = check(abc, team, f, Engine.NAIVE)
+            assert check(abc, team, f, Engine.OPTIMIZED) is expected, (text, team.rows)
+            verdicts[f is split, expected] += 1
+        if isinstance(formula, DepAtom):
+            pair = find_dep_violation(abc, team, formula)
+            got = None if pair is None else tuple(a.values for a in pair)
+            assert got == dep_violation_pairwise(abc, team, formula)
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 4
+
+
 def test_reflight_3sat_instance_routes(pair):
     # a satisfiable and an unsatisfiable toy, cross-checked by brute force below
     from teamcheck import parse_dimacs, reduce_3sat, sat_brute

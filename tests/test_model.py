@@ -15,6 +15,7 @@ from teamcheck import (
     structure_to_text,
     team_to_text,
 )
+from teamcheck import model
 
 from depgen import random_structure, random_team
 
@@ -339,3 +340,89 @@ def test_empty_domain_team_round_trips_via_dash_marker(abc):
     assert text == "-\n-\n"
     assert parse_team(text, abc) == unit
     assert parse_team("-\n", abc) == Team((), frozenset())
+
+
+# --- the bulk team loader ---------------------------------------------------------
+#
+# A '#' anywhere sends parse_team down the line-by-line path, and an appended
+# comment line changes nothing else, so that path is the oracle for the bulk one.
+
+PER_LINE = "\n# per-line\n"
+
+
+def _team_or_error(text, structure):
+    try:
+        return parse_team(text, structure)
+    except TeamError as exc:
+        return f"TeamError: {exc}"
+
+
+def _loader_corpus(abc):
+    rng = random.Random(11)
+    for _ in range(200):
+        structure = random_structure(rng)
+        domain = tuple(rng.sample(("u", "v", "w", "x", "y"), rng.randint(0, 3)))
+        team = random_team(rng, structure, domain, max_rows=8)
+        yield structure, team_to_text(team, structure)
+    for text in [
+        "",
+        "\n\n",
+        " \t \n",
+        "x y\n",
+        "x y",
+        "\nx y\na b\n",
+        "  x\ty  \n a   b \n",
+        "x y\n\n   \na b\n\t\nc a\n\n",
+        "x y\r\na b\r\n\r\nb c\r\n",
+        "x y\ra b\rb c\r",
+        "x y\x0ca b\x0c\x0cb c\n",
+        "x y\x1ca b\x85b c c a\n",
+        "x y\na\xa0b\n",
+        "x y z\na b c\nb c\n",
+        "x y z\na b\nc a b c\n",
+        "x y\nzz a\na\n",
+        "x y\na\nzz a\n",
+        "x y\na b\nb zz\n",
+        "x x\na b\n",
+        "x y x\na b c\n",
+        "-\n-\n",
+        "-\n-\n-\n",
+        "-\n",
+        "-\na\n",
+        " - \n - \n",
+        "- x\na b\n",
+        "x\n-\n",
+    ]:
+        yield abc, text
+    # '#' starts a comment even where the universe has names that hold it
+    hashes = Structure(["a", "b", "#", "a#b"])
+    for text in ["x y\n# a\na b\n", "x\na#b\n", "x y\na b # b\n"]:
+        yield hashes, text
+
+
+def test_bulk_team_loader_agrees_with_the_line_by_line_path(abc):
+    bulk = 0
+    for structure, text in _loader_corpus(abc):
+        got = _team_or_error(text, structure)
+        assert got == _team_or_error(text + PER_LINE, structure), repr(text)
+        bulk += isinstance(got, Team) and bool(got.domain)
+    assert bulk >= 150
+
+
+def test_bulk_team_loader_reads_without_the_line_by_line_path(monkeypatch):
+    structure = Structure([f"e{i:03d}" for i in range(240)])
+    rng = random.Random(5)
+    domain = ("x", "y", "z")
+    rows = frozenset(tuple(rng.randrange(240) for _ in domain) for _ in range(20_000))
+    team = Team(domain, rows)
+    canonical = team_to_text(team, structure)
+    spaced = canonical.replace("\n", "\n\n  \t\n").replace(" ", "\t ")
+
+    def line_by_line(text):
+        raise AssertionError("parse_team left the bulk path")
+
+    monkeypatch.setattr(model, "_content_lines", line_by_line)
+    assert parse_team(canonical, structure) == team
+    assert parse_team(spaced, structure) == team
+    with pytest.raises(AssertionError, match="left the bulk path"):
+        parse_team(canonical + PER_LINE, structure)
