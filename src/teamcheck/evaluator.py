@@ -17,14 +17,15 @@ Three engines decide whether a structure and a team satisfy a formula:
   memo table per (interned subformula, registry), keyed by the bare mask;
   the split and existential loops probe those tables directly.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
-  per-assignment evaluation and row-wise conjunction (flatness).  It
-  memoizes per (interned subformula, values of its free variables), so
-  its work is at most |formula| * |A|^(number of variables).
+  per-assignment evaluation and row-wise conjunction (flatness), with rows
+  laid out and extended by ``optimized``'s registries.  It memoizes per
+  (interned subformula, values of its free variables), one memo for all
+  registries, so its work is at most |formula| * |A|^(number of variables).
 
-``optimized`` compiles each atom once per (atom, registry), and
-``fo_tarski`` once per run, into row readers: ``operator.itemgetter`` for
-variables, closures over the structure's tables for constants and
-functions.  Only ``naive``, the oracle, walks an atom's terms per row.
+Both compile each atom once per (atom, registry) into row readers:
+``operator.itemgetter`` for variables, closures over the structure's
+tables for constants and functions.  Only ``naive``, the oracle, walks an
+atom's terms per row.
 A dependence atom reads each side as a key: the bare value for one term
 (``itemgetter`` itself, for one variable), a tuple for several.  Keys are
 hashed and compared only with keys of the same reader.
@@ -93,8 +94,8 @@ class _Run:
         self.structure = structure
         self.budget = budget
         self.expansions = 0
-        self.memo: dict = {}  # fo_tarski only
-        self.registries: dict = {}  # domain -> _Registry, optimized engine only
+        self.memo: dict = {}  # (node id, free values) -> result, fo_tarski only
+        self.registries: dict = {}  # domain -> _Registry, optimized and fo_tarski
 
     def tick(self) -> None:
         self.expansions += 1
@@ -182,8 +183,8 @@ def _dep_conflicts(antecedent, consequent, rows):
 
 class _Node:
     """An interned subformula with its sorted free variables, its ``optimized``
-    step, and, for an atom, its compiled readers: per registry id under
-    ``optimized``, under the key None for the run under ``fo_tarski``."""
+    step, and what it compiles per registry id: an atom's readers, or under
+    ``fo_tarski`` any node's free-value reader and row predicate."""
 
     __slots__ = ("id", "formula", "left", "right", "free", "step", "tables")
 
@@ -381,8 +382,8 @@ def _mask_of(numbers, width: int) -> int:
 
 
 def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
-    """The registry for quantifying `var` and, per row of `reg` up to the
-    highest bit of `mask`, the child row numbers for each value."""
+    """The registry for quantifying `var`, the row extender, and the child
+    row numbers per value for each row of `reg` up to `mask`'s highest bit."""
     entry = reg.ext.get(var)
     if entry is None:
         domain, pos, extend = _extension(reg.domain, reg.pos, var)
@@ -393,7 +394,7 @@ def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
     values = range(run.structure.size)
     for row in reg.rows[len(table):mask.bit_length()]:
         table.append(tuple(child.number(extend(row, a)) for a in values))
-    return child, table
+    return entry
 
 
 def _dep_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
@@ -472,7 +473,7 @@ def _and_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
 def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     # singleton-valued supplementing functions only; two rows may extend to
     # the same child row, so a child mask is the OR of the chosen bits
-    child, numbers = _extension_table(run, reg, node.formula.var, mask)
+    child, _, numbers = _extension_table(run, reg, node.formula.var, mask)
     choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
     body, table = node.left, child.memos[node.left.id]
     for combo in itertools.product(*choices):
@@ -486,7 +487,7 @@ def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
 
 
 def _forall_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    child, table = _extension_table(run, reg, node.formula.var, mask)
+    child, _, table = _extension_table(run, reg, node.formula.var, mask)
     numbers = (j for i in _bits(mask) for j in table[i])
     return _opt(run, node.left, child, _mask_of(numbers, len(child.rows)))
 
@@ -498,36 +499,42 @@ _STEPS = {
 
 # --- classical engine ----------------------------------------------------------
 #
-# Each variable has a fixed slot in the row, the team's variables first, so a
-# quantifier overwrites only its own slot.
+# Rows take the registries' layouts and extenders but are never numbered; the
+# memo is keyed by values, not positions, so one memo serves every registry.
 
-def _fo(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
-    key = (node.id, tuple([row[pos[v]] for v in node.free]))
-    memo = run.memo
-    result = memo.get(key)
+def _fo(run: _Run, node: _Node, reg: _Registry, row: tuple) -> bool:
+    table = node.tables.get(reg.id)
+    if table is None:
+        table = node.tables[reg.id] = _fo_compile(run, node, reg)
+    free, test = table
+    key = (node.id, free(row))
+    result = run.memo.get(key)
     if result is None:
         run.tick()
-        result = memo[key] = _fo_eval(run, node, pos, row)
+        result = run.memo[key] = test(row)
     return result
 
 
-def _fo_eval(run: _Run, node: _Node, pos: dict, row: tuple) -> bool:
-    f = node.formula
+def _fo_compile(run: _Run, node: _Node, reg: _Registry):
+    """The node's memo-key reader on rows of `reg`, and its row predicate."""
+    f, left, right, st = node.formula, node.left, node.right, run.structure
+    free = _tuple_reader([*map(Var, node.free)], st, reg.pos)
     if isinstance(f, And):
-        return _fo(run, node.left, pos, row) and _fo(run, node.right, pos, row)
+        return free, lambda row: _fo(run, left, reg, row) and _fo(run, right, reg, row)
     if isinstance(f, Or):
-        return _fo(run, node.left, pos, row) or _fo(run, node.right, pos, row)
-    if isinstance(f, (Exists, Forall)):
-        i = pos[f.var]
-        combine = any if isinstance(f, Exists) else all
-        return combine(
-            _fo(run, node.left, pos, row[:i] + (a,) + row[i + 1:])
-            for a in range(run.structure.size)
-        )
-    test = node.tables.get(None)  # pos is fixed for the run
-    if test is None:
-        test = node.tables[None] = _literal_test(f, run.structure, pos)
-    return test(row)
+        return free, lambda row: _fo(run, left, reg, row) or _fo(run, right, reg, row)
+    if not isinstance(f, (Exists, Forall)):
+        return free, _literal_test(f, st, reg.pos)
+    child, extend, _ = _extension_table(run, reg, f.var, 0)  # numbers no rows
+    values, wanted = range(st.size), isinstance(f, Exists)
+
+    def test(row):  # a plain loop: no generator frame per quantifier level
+        for a in values:
+            if _fo(run, left, child, extend(row, a)) is wanted:
+                return wanted
+        return not wanted
+
+    return free, test
 
 
 # --- entry points ------------------------------------------------------------------
@@ -556,17 +563,13 @@ def run_check(
 
     run = _Run(structure, budget)
     pos = {v: i for i, v in enumerate(team.domain)}
+    root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
     if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
-        root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
         satisfied = _opt(run, nodes[-1], root, root.full())
     else:
-        for node in nodes:
-            if isinstance(node.formula, (Exists, Forall)):
-                pos.setdefault(node.formula.var, len(pos))
-        pad = (0,) * (len(pos) - len(team.domain))
-        satisfied = all(_fo(run, nodes[-1], pos, row + pad) for row in team.sorted_rows())
+        satisfied = all(_fo(run, nodes[-1], root, row) for row in team.sorted_rows())
     return CheckOutcome(satisfied, engine, run.expansions)
 
 

@@ -186,6 +186,28 @@ def test_check_deep_formula_exits_two(tmp_path, capsys, text):
         assert captured.err == "error: formula is nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "".join(f"exists y{i} " for i in range(400)) + "R(x)",
+        # one requantified variable, since distinct ones give `opt` 2^depth
+        # rows; `opt` itself exits 2 on a `forall` chain of about 330
+        "forall y " * 300 + "R(x)",
+    ],
+    ids=["exists-400", "forall-300"],
+)
+def test_check_deep_quantifier_chain_agrees_with_opt(tmp_path, capsys, text):
+    structure = write(tmp_path / "s", "universe: a b\nrelation R/1: (a)\n")
+    team = write(tmp_path / "t", "x\na\n")
+    formula = write(tmp_path / "f", text + "\n")
+    verdicts = []
+    for engine in ("auto", "opt"):
+        rc = run_cli("check", "--engine", engine, structure, team, formula)
+        captured = capsys.readouterr()
+        verdicts.append((rc, captured.out.splitlines()[:1], captured.err))
+    assert verdicts[0] == verdicts[1] == (0, ["SAT"], "")
+
+
 # --- params ------------------------------------------------------------------
 
 def test_params_on_reduced_instance(tmp_path, capsys):

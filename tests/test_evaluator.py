@@ -313,26 +313,34 @@ def test_fo_tarski_work_within_declared_bound(pair):
     assert outcome.expansions <= formula_size(f) * pair.size ** len(all_variables(f))
 
 
-@pytest.mark.parametrize(
-    "team_domain,text,satisfied,expansions",
-    [
-        # quantifiers that rebind the team variables x and y
-        (("x", "y"), "exists x (E(x,y) & forall y (E(x,y) | R(y)))", False, 21),
-        # a quantifier that introduces a fresh variable z
-        (("x",), "forall z (E(x,z) | E(z,x))", False, 15),
-        # `exists y E(x,y)` under the team's x and under `forall x`
-        (("x",), "exists y E(x,y) & forall x exists y E(x,y)", True, 12),
-    ],
-)
-def test_fo_tarski_expansions_pinned(team_domain, text, satisfied, expansions):
-    # one expansion per distinct (subformula, values of its free variables)
+_FO_PINNED = [
+    # quantifiers that rebind the team variables x and y
+    (("x", "y"), "exists x (E(x,y) & forall y (E(x,y) | R(y)))", False, 21),
+    # a quantifier that introduces a fresh variable z
+    (("x",), "forall z (E(x,z) | E(z,x))", False, 15),
+    # `exists y E(x,y)` under the team's x and under `forall x`
+    (("x",), "exists y E(x,y) & forall x exists y E(x,y)", True, 12),
+    # `exists y E(x,y)` over the rows (x) and, under `forall z`, over the
+    # rows (x, z): one memo serves both registries
+    (("x",), "exists y E(x,y) & forall z (exists y E(x,y) | R(z))", True, 23),
+]
+
+
+def _fo_on_triangle(team_domain, text):
+    # the team holds every row over `team_domain`
     triangle = Structure(
         ["a", "b", "c"],
         relations={"R": (1, [("b",)]), "E": (2, [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])},
     )
     rows = itertools.product(range(triangle.size), repeat=len(team_domain))
     team = Team(team_domain, frozenset(rows))
-    outcome = run_check(triangle, team, fparse(text, triangle), Engine.FO_TARSKI)
+    return run_check(triangle, team, fparse(text, triangle), Engine.FO_TARSKI)
+
+
+@pytest.mark.parametrize("team_domain,text,satisfied,expansions", _FO_PINNED)
+def test_fo_tarski_expansions_pinned(team_domain, text, satisfied, expansions):
+    # one expansion per distinct (subformula, values of its free variables)
+    outcome = _fo_on_triangle(team_domain, text)
     assert (outcome.satisfied, outcome.expansions) == (satisfied, expansions)
 
 
@@ -485,13 +493,9 @@ _MEMO_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case",
-    range(len(_MEMO_CASES)),
-    ids=["3sat-9", "3sat-12", "skolem-unsat", "skolem-sat-twice", "133", "700", "738", "2961"],
-)
-def test_optimized_memo_holds_one_entry_per_expansion(monkeypatch, case):
-    # every miss is stored once, and no hit is counted
+@pytest.fixture
+def runs(monkeypatch):
+    """The evaluation runs that `run_check` starts during the test."""
     from teamcheck import evaluator
 
     runs = []
@@ -502,12 +506,33 @@ def test_optimized_memo_holds_one_entry_per_expansion(monkeypatch, case):
             runs.append(self)
 
     monkeypatch.setattr(evaluator, "_Run", RecordedRun)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(_MEMO_CASES)),
+    ids=["3sat-9", "3sat-12", "skolem-unsat", "skolem-sat-twice", "133", "700", "738", "2961"],
+)
+def test_optimized_memo_holds_one_entry_per_expansion(runs, case):
+    # every miss is stored once, and no hit is counted
     structure, team, formula = _MEMO_CASES[case]
     outcome = run_check(structure, team, formula, Engine.OPTIMIZED)
     (run,) = runs
     tables = [table for reg in run.registries.values() for table in reg.memos.values()]
     assert sum(map(len, tables)) == outcome.expansions > 0
     assert run.memo == {}
+
+
+@pytest.mark.parametrize("team_domain,text,satisfied,expansions", _FO_PINNED)
+def test_fo_tarski_memo_holds_one_entry_per_expansion(
+    runs, team_domain, text, satisfied, expansions
+):
+    # fo_tarski keeps one memo for all registries, and no mask tables
+    outcome = _fo_on_triangle(team_domain, text)
+    (run,) = runs
+    assert len(run.memo) == outcome.expansions == expansions
+    assert all(not reg.memos for reg in run.registries.values())
 
 
 def test_existential_collisions_agree_with_naive():
