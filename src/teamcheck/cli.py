@@ -225,12 +225,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_flags(p):
+    def add_engine_flags(p, engine):
         p.add_argument(
             "--engine",
             choices=sorted(_ENGINES),
-            default="auto",
-            help="evaluation engine (default: auto)",
+            default=engine,
+            help=f"evaluation engine (default: {engine})",
         )
         p.add_argument(
             "--budget",
@@ -243,7 +243,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("structure_file")
     check.add_argument("team_file")
     check.add_argument("formula_file")
-    add_engine_flags(check)
+    add_engine_flags(check, "auto")
     check.set_defaults(func=cmd_check)
 
     params = sub.add_parser("params", help="report the nine instance parameters")
@@ -263,10 +263,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--family", choices=("team-size", "universe-size", "splits"), required=True
     )
     bench.add_argument("--range", required=True, help="inclusive LO..HI")
-    bench.add_argument(
-        "--engine", choices=sorted(_ENGINES), default="opt", help="engine (default: opt)"
-    )
-    bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    add_engine_flags(bench, "opt")
     bench.add_argument("--out", help="CSV output path (default: stdout)")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -14,8 +14,9 @@ Three engines decide whether a structure and a team satisfy a formula:
   equivalence against ``naive`` instead of assuming it.  It numbers the
   rows met over each variable domain in one registry per domain, so a
   subteam is an int mask over its domain's registry, and it keeps one
-  memo table per (interned subformula, registry), keyed by the bare mask;
-  the split and existential loops probe those tables directly.
+  memo table per (interned subformula, registry), keyed by the bare mask.
+  The split and existential loops probe those tables directly, and every
+  miss is decided by ``_opt``.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness), with rows
   laid out and extended by ``optimized``'s registries.  It memoizes per
@@ -161,22 +162,6 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
     if f.negated:
         return lambda row: args(row) not in table
     return lambda row: args(row) in table
-
-
-def _dep_conflicts(antecedent, consequent, rows):
-    """Violations of a dependence atom, found in one grouping pass.
-
-    `antecedent` and `consequent` are the atom's key readers.  For each
-    antecedent group that is not constant on the consequent, yield the
-    group's first row and the first later row of that group whose
-    consequent differs from it ("first" in the order of `rows`).
-    """
-    first: dict = {}
-    for row, a, c in zip(rows, map(antecedent, rows), map(consequent, rows)):
-        seen = first.setdefault(a, (row, c))
-        if seen is not None and seen[1] != c:
-            first[a] = None  # one pair per group
-            yield seen[0], row
 
 
 # --- the compiled formula --------------------------------------------------------
@@ -432,18 +417,12 @@ def _literal_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     return mask & ok == mask
 
 
-def _opt(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    table = reg.memos[node.id]
+def _opt(run: _Run, node: _Node, reg: _Registry, mask: int, table: dict) -> bool:
+    """Decide `node` on `mask` through `table`, its memo; a miss is counted and stored."""
     result = table.get(mask)
     if result is None:
-        result = _miss(run, node, reg, mask, table)
-    return result
-
-
-def _miss(run: _Run, node: _Node, reg: _Registry, mask: int, table: dict) -> bool:
-    """Count and decide a subproblem that `table`, its memo, lacks."""
-    run.tick()
-    result = table[mask] = node.step(run, node, reg, mask)
+        run.tick()
+        result = table[mask] = node.step(run, node, reg, mask)
     return result
 
 
@@ -457,17 +436,18 @@ def _or_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     for k in range(1 << len(moves)):
         if k:
             left ^= moves[(k & -k).bit_length() - 1]
-        held = left_table.get(left)  # None: a miss, decided by _miss
-        if held or held is None and _miss(run, left_node, reg, left, left_table):
+        held = left_table.get(left)  # None: a miss, decided by _opt
+        if held or held is None and _opt(run, left_node, reg, left, left_table):
             right = mask ^ left
             held = right_table.get(right)
-            if held or held is None and _miss(run, right_node, reg, right, right_table):
+            if held or held is None and _opt(run, right_node, reg, right, right_table):
                 return True
     return False
 
 
 def _and_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    return _opt(run, node.left, reg, mask) and _opt(run, node.right, reg, mask)
+    return (_opt(run, node.left, reg, mask, reg.memos[node.left.id])
+            and _opt(run, node.right, reg, mask, reg.memos[node.right.id]))
 
 
 def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
@@ -481,7 +461,7 @@ def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
         for bit in combo:
             child_mask |= bit
         held = table.get(child_mask)
-        if held or held is None and _miss(run, body, child, child_mask, table):
+        if held or held is None and _opt(run, body, child, child_mask, table):
             return True
     return False
 
@@ -489,7 +469,8 @@ def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
 def _forall_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
     child, _, table = _extension_table(run, reg, node.formula.var, mask)
     numbers = (j for i in _bits(mask) for j in table[i])
-    return _opt(run, node.left, child, _mask_of(numbers, len(child.rows)))
+    body, child_mask = node.left, _mask_of(numbers, len(child.rows))
+    return _opt(run, body, child, child_mask, child.memos[body.id])
 
 
 _STEPS = {
@@ -567,7 +548,7 @@ def run_check(
     if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
-        satisfied = _opt(run, nodes[-1], root, root.full())
+        satisfied = _opt(run, nodes[-1], root, root.full(), root.memos[nodes[-1].id])
     else:
         satisfied = all(_fo(run, nodes[-1], root, row) for row in team.sorted_rows())
     return CheckOutcome(satisfied, engine, run.expansions)
@@ -602,10 +583,19 @@ def find_dep_violation(
     pos = {v: i for i, v in enumerate(team.domain)}
     antecedent = _key_reader(atom.antecedent, structure, pos)
     consequent = _key_reader(atom.consequent, structure, pos)
-    # groups are independent, so only the rows of violated groups need order
-    violated = {antecedent(row) for row, _ in _dep_conflicts(antecedent, consequent, team.rows)}
+    # `_dep_step`'s grouping rule names the violated antecedent groups; the
+    # pair is the least row of those groups and the least row of its group
+    # whose consequent differs from it
+    first: dict = {}
+    rows = team.rows
+    violated = {
+        a for a, c in zip(map(antecedent, rows), map(consequent, rows))
+        if first.setdefault(a, c) != c
+    }
     if not violated:
         return None
-    suspects = sorted(row for row in team.rows if antecedent(row) in violated)
-    first, second = min(_dep_conflicts(antecedent, consequent, suspects))
-    return Assignment(team.domain, first), Assignment(team.domain, second)
+    suspects = [row for row in rows if antecedent(row) in violated]
+    row1 = min(suspects)
+    a1, c1 = antecedent(row1), consequent(row1)
+    row2 = min(row for row in suspects if antecedent(row) == a1 and consequent(row) != c1)
+    return Assignment(team.domain, row1), Assignment(team.domain, row2)

@@ -190,11 +190,12 @@ def test_check_deep_formula_exits_two(tmp_path, capsys, text):
     "text",
     [
         "".join(f"exists y{i} " for i in range(400)) + "R(x)",
-        # one requantified variable, since distinct ones give `opt` 2^depth
-        # rows; `opt` itself exits 2 on a `forall` chain of about 330
+        # one requantified variable, since distinct ones give `opt` 2^depth rows
         "forall y " * 300 + "R(x)",
+        " & ".join(["R(x)"] * 450),
+        "forall y " * 450 + "R(x)",
     ],
-    ids=["exists-400", "forall-300"],
+    ids=["exists-400", "forall-300", "and-450", "forall-450"],
 )
 def test_check_deep_quantifier_chain_agrees_with_opt(tmp_path, capsys, text):
     structure = write(tmp_path / "s", "universe: a b\nrelation R/1: (a)\n")
