@@ -15,8 +15,9 @@ Three engines decide whether a structure and a team satisfy a formula:
   rows met over each variable domain in one registry per domain, so a
   subteam is an int mask over its domain's registry, and it keeps one
   memo table per (interned subformula, registry), keyed by the bare mask.
-  The split and existential loops probe those tables directly, and every
-  miss is decided by ``_opt``.
+  Each (subformula, registry) pair it reaches is compiled once into a
+  probe of its table and a miss closure on masks; a step probes its
+  children's tables inline and calls a child's miss only on a miss.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness), with rows
   laid out and extended by ``optimized``'s registries.  It memoizes per
@@ -32,7 +33,8 @@ A dependence atom reads each side as a key: the bare value for one term
 hashed and compared only with keys of the same reader.
 
 Every engine counts node expansions (one per evaluated subproblem: a memo
-miss; hits are free) against an optional work budget and raises
+miss; hits are free) against an optional work budget (``_Run.limit``,
+unbounded when no budget is given) and raises
 BudgetExceededError when the budget is exhausted; it never silently
 approximates.
 """
@@ -40,10 +42,12 @@ approximates.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .model import Assignment, Structure, Team, _extension
 from .syntax import (
@@ -89,19 +93,19 @@ class CheckOutcome:
 
 
 class _Run:
-    __slots__ = ("structure", "budget", "expansions", "memo", "registries")
+    __slots__ = ("structure", "limit", "expansions", "memo", "registries")
 
     def __init__(self, structure: Structure, budget: int | None):
         self.structure = structure
-        self.budget = budget
+        self.limit = sys.maxsize if budget is None else budget  # the most expansions allowed
         self.expansions = 0
         self.memo: dict = {}  # (node id, free values) -> result, fo_tarski only
         self.registries: dict = {}  # domain -> _Registry, optimized and fo_tarski
 
     def tick(self) -> None:
         self.expansions += 1
-        if self.budget is not None and self.expansions > self.budget:
-            raise BudgetExceededError(self.budget)
+        if self.expansions > self.limit:
+            raise BudgetExceededError(self.limit)
 
 
 # --- term evaluation on rows, for the naive engine (the oracle) only -----------
@@ -167,11 +171,12 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
 # --- the compiled formula --------------------------------------------------------
 
 class _Node:
-    """An interned subformula with its sorted free variables, its ``optimized``
-    step, and what it compiles per registry id: an atom's readers, or under
-    ``fo_tarski`` any node's free-value reader and row predicate."""
+    """An interned subformula with its sorted free variables and what it
+    compiles per registry id: under ``optimized`` its table's probe and its
+    miss closure, under ``fo_tarski`` its free-value reader and row
+    predicate."""
 
-    __slots__ = ("id", "formula", "left", "right", "free", "step", "tables")
+    __slots__ = ("id", "formula", "left", "right", "free", "tables")
 
     def __init__(self, node_id: int, formula: Formula, left, right, free: tuple):
         self.id = node_id
@@ -179,7 +184,6 @@ class _Node:
         self.left = left  # the body, for a quantifier
         self.right = right
         self.free = free
-        self.step = _STEPS.get(type(formula), _literal_step)
         self.tables: dict = {}
 
 
@@ -317,7 +321,8 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 # registry, which numbers the rows met over that domain in order of first
 # appearance; the root registry is the team's rows.  Subformulas are interned
 # by structural equality, and each registry keeps one memo table per
-# subformula, keyed by the bare mask.
+# subformula, keyed by the bare mask.  A node's step is compiled per registry
+# into a closure over its readers and its children's probes and misses.
 
 
 class _Registry:
@@ -382,97 +387,145 @@ def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
     return entry
 
 
-def _dep_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    table = node.tables.get(reg.id)
-    if table is None:  # the readers, then (antecedent, consequent) per row
-        f, st, pos = node.formula, run.structure, reg.pos
-        readers = [_key_reader(terms, st, pos) for terms in (f.antecedent, f.consequent)]
-        table = node.tables[reg.id] = [*readers, []]
-    antecedent, consequent, values = table
-    rows = reg.rows
-    if mask == reg.full():  # the whole registry: no per-row values needed
-        pairs = zip(map(antecedent, rows), map(consequent, rows))
-    else:
-        if len(values) < len(rows):  # the registry grew
-            new = rows[len(values):]
-            values.extend(zip(map(antecedent, new), map(consequent, new)))
-        pairs = map(values.__getitem__, _bits(mask))
-    first: dict = {}
-    for a, c in pairs:
-        if first.setdefault(a, c) != c:
-            return False
-    return True
+def _opt_compile(run: _Run, node: _Node, reg: _Registry):
+    """The probe of `node`'s table on masks over `reg`, and its miss closure,
+    compiled on first need with its children's.  A miss is counted against
+    the budget, decided by the node's step and stored in the table; callers
+    probe first, so a hit is free."""
+    compiled = node.tables.get(reg.id)
+    if compiled is None:
+        step = _STEPS.get(type(node.formula), _literal_step)(run, node, reg)
+        table, limit = reg.memos[node.id], run.limit
+
+        def miss(mask: int) -> bool:
+            run.expansions += 1
+            if run.expansions > limit:
+                raise BudgetExceededError(limit)
+            result = table[mask] = step(mask)
+            return result
+
+        compiled = node.tables[reg.id] = (table.get, miss)
+    return compiled
 
 
-def _literal_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    table = node.tables.get(reg.id)
-    if table is None:  # the test, the mask of rows that pass it, how many rows it covers
-        table = node.tables[reg.id] = [_literal_test(node.formula, run.structure, reg.pos), 0, 0]
-    test, ok, done = table
-    rows = reg.rows
-    if done < len(rows):
-        held = (i for i in range(done, len(rows)) if test(rows[i]))
-        table[1] = ok = ok | _mask_of(held, len(rows))
-        table[2] = len(rows)
-    return mask & ok == mask
+def _dep_step(run: _Run, node: _Node, reg: _Registry):
+    f, st, rows = node.formula, run.structure, reg.rows
+    antecedent, consequent = (_key_reader(t, st, reg.pos) for t in (f.antecedent, f.consequent))
+    values: list = []  # (antecedent, consequent) per row, built on first need
+
+    def step(mask: int) -> bool:
+        if mask == reg.full():  # the whole registry: no per-row values needed
+            pairs = zip(map(antecedent, rows), map(consequent, rows))
+        else:
+            if len(values) < len(rows):  # the registry grew
+                new = rows[len(values):]
+                values.extend(zip(map(antecedent, new), map(consequent, new)))
+            pairs = map(values.__getitem__, _bits(mask))
+        first: dict = {}
+        for a, c in pairs:
+            if first.setdefault(a, c) != c:
+                return False
+        return True
+
+    return step
 
 
-def _opt(run: _Run, node: _Node, reg: _Registry, mask: int, table: dict) -> bool:
-    """Decide `node` on `mask` through `table`, its memo; a miss is counted and stored."""
-    result = table.get(mask)
-    if result is None:
-        run.tick()
-        result = table[mask] = node.step(run, node, reg, mask)
-    return result
+def _literal_step(run: _Run, node: _Node, reg: _Registry):
+    test, rows = _literal_test(node.formula, run.structure, reg.pos), reg.rows
+    ok = done = 0  # the mask of rows that pass the test, how many rows it covers
+
+    def step(mask: int) -> bool:
+        nonlocal ok, done
+        if done < len(rows):  # the registry grew
+            ok |= _mask_of((i for i in range(done, len(rows)) if test(rows[i])), len(rows))
+            done = len(rows)
+        return mask & ok == mask
+
+    return step
 
 
-def _or_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    # partitions only, in Gray-code order over the rows sorted by value:
-    # step k moves the row whose bit is the lowest set bit of k
-    moves = [1 << i for i in _bits_by_row(reg, mask)]
-    left_node, right_node = node.left, node.right
-    left_table, right_table = reg.memos[left_node.id], reg.memos[right_node.id]
-    left = 0
-    for k in range(1 << len(moves)):
-        if k:
-            left ^= moves[(k & -k).bit_length() - 1]
-        held = left_table.get(left)  # None: a miss, decided by _opt
-        if held or held is None and _opt(run, left_node, reg, left, left_table):
-            right = mask ^ left
-            held = right_table.get(right)
-            if held or held is None and _opt(run, right_node, reg, right, right_table):
-                return True
-    return False
+# the moves of a 6-bit block of a Gray code: step k moves the bit of k's
+# lowest set bit, and step 0 (-1) makes the move into the block
+_GRAY = (-1, *((k & -k).bit_length() - 1 for k in range(1, 64)))
 
 
-def _and_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    return (_opt(run, node.left, reg, mask, reg.memos[node.left.id])
-            and _opt(run, node.right, reg, mask, reg.memos[node.right.id]))
+def _or_step(run: _Run, node: _Node, reg: _Registry):
+    # partitions only, in Gray-code order over the rows sorted by value: the
+    # six first rows move inside a block, the others between blocks
+    left_get, left_miss = _opt_compile(run, node.left, reg)
+    right_get, right_miss = _opt_compile(run, node.right, reg)
+
+    def step(mask: int) -> bool:
+        moves = [1 << i for i in _bits_by_row(reg, mask)]
+        low, high = [*moves[:6], 0], moves[6:]  # low[-1]: the move into the block
+        toggles = _GRAY[:1 << (len(low) - 1)]
+        left = 0
+        for h in range(1 << len(high)):
+            if h:
+                low[-1] = high[(h & -h).bit_length() - 1]
+            for t in toggles:
+                left ^= low[t]
+                held = left_get(left)
+                if held or held is None and left_miss(left):
+                    right = mask ^ left
+                    held = right_get(right)
+                    if held or held is None and right_miss(right):
+                        return True
+        return False
+
+    return step
 
 
-def _exists_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
+def _and_step(run: _Run, node: _Node, reg: _Registry):
+    left_get, left_miss = _opt_compile(run, node.left, reg)
+    right_get, right_miss = _opt_compile(run, node.right, reg)
+
+    def step(mask: int) -> bool:
+        held = left_get(mask)
+        if held or held is None and left_miss(mask):
+            held = right_get(mask)
+            return held or held is None and right_miss(mask)
+        return False
+
+    return step
+
+
+def _exists_step(run: _Run, node: _Node, reg: _Registry):
     # singleton-valued supplementing functions only; two rows may extend to
     # the same child row, so a child mask is the OR of the chosen bits
-    child, _, numbers = _extension_table(run, reg, node.formula.var, mask)
-    choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
-    body, table = node.left, child.memos[node.left.id]
-    for combo in itertools.product(*choices):
-        child_mask = 0
-        for bit in combo:
-            child_mask |= bit
-        held = table.get(child_mask)
-        if held or held is None and _opt(run, body, child, child_mask, table):
-            return True
-    return False
+    var = node.formula.var
+    child, _, numbers = _extension_table(run, reg, var, 0)
+    body_get, body_miss = _opt_compile(run, node.left, child)
+
+    def step(mask: int) -> bool:
+        _extension_table(run, reg, var, mask)
+        choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
+        *others, last = choices or [[0]]  # the empty team extends to the empty team
+        for prefix in itertools.product(*others):  # the last row varies fastest
+            for child_mask in map(or_, last, itertools.repeat(reduce(or_, prefix, 0))):
+                held = body_get(child_mask)
+                if held or held is None and body_miss(child_mask):
+                    return True
+        return False
+
+    return step
 
 
-def _forall_step(run: _Run, node: _Node, reg: _Registry, mask: int) -> bool:
-    child, _, table = _extension_table(run, reg, node.formula.var, mask)
-    numbers = (j for i in _bits(mask) for j in table[i])
-    body, child_mask = node.left, _mask_of(numbers, len(child.rows))
-    return _opt(run, body, child, child_mask, child.memos[body.id])
+def _forall_step(run: _Run, node: _Node, reg: _Registry):
+    var = node.formula.var
+    child, _, numbers = _extension_table(run, reg, var, 0)
+    body_get, body_miss = _opt_compile(run, node.left, child)
+
+    def step(mask: int) -> bool:
+        _extension_table(run, reg, var, mask)
+        child_mask = _mask_of((j for i in _bits(mask) for j in numbers[i]), len(child.rows))
+        held = body_get(child_mask)
+        return held or held is None and body_miss(child_mask)
+
+    return step
 
 
+# node kind -> its step compiler, from (run, node, registry) to step(mask)
 _STEPS = {
     Or: _or_step, And: _and_step, Exists: _exists_step, Forall: _forall_step, DepAtom: _dep_step
 }
@@ -548,7 +601,8 @@ def run_check(
     if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
-        satisfied = _opt(run, nodes[-1], root, root.full(), root.memos[nodes[-1].id])
+        _, miss = _opt_compile(run, nodes[-1], root)
+        satisfied = miss(root.full())
     else:
         satisfied = all(_fo(run, nodes[-1], root, row) for row in team.sorted_rows())
     return CheckOutcome(satisfied, engine, run.expansions)

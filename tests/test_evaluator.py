@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,9 @@ from teamcheck import (
     Const,
     DepAtom,
     Engine,
+    Forall,
+    Or,
+    RelAtom,
     Structure,
     Team,
     Var,
@@ -326,15 +330,18 @@ _FO_PINNED = [
 ]
 
 
-def _fo_on_triangle(team_domain, text):
+def _on_triangle(team_domain, text):
     # the team holds every row over `team_domain`
     triangle = Structure(
         ["a", "b", "c"],
         relations={"R": (1, [("b",)]), "E": (2, [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])},
     )
     rows = itertools.product(range(triangle.size), repeat=len(team_domain))
-    team = Team(team_domain, frozenset(rows))
-    return run_check(triangle, team, fparse(text, triangle), Engine.FO_TARSKI)
+    return triangle, Team(team_domain, frozenset(rows)), fparse(text, triangle)
+
+
+def _fo_on_triangle(team_domain, text):
+    return run_check(*_on_triangle(team_domain, text), Engine.FO_TARSKI)
 
 
 @pytest.mark.parametrize("team_domain,text,satisfied,expansions", _FO_PINNED)
@@ -533,6 +540,109 @@ def test_fo_tarski_memo_holds_one_entry_per_expansion(
     (run,) = runs
     assert len(run.memo) == outcome.expansions == expansions
     assert all(not reg.memos for reg in run.registries.values())
+
+
+def _exits_three(tmp_path, structure, team, formula, engine, budget):
+    from teamcheck import cli, pretty, structure_to_text, team_to_text
+
+    texts = (structure_to_text(structure), team_to_text(team, structure), pretty(formula) + "\n")
+    paths = [tmp_path / name for name in ("s", "t", "f")]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    argv = ["check", *map(str, paths), "--engine", engine, "--budget", str(budget)]
+    return cli.main(argv) == 3
+
+
+# the miss that trips the budget is on a node of the given kind
+_KIND_BOUNDARIES = [
+    # both splits search every partition; the second one's probes all hit
+    (Or, ("x",), "(x = x | R(x)) & (x = x | x = x)", True, 15),
+    # the inner conjunction's probes hit
+    (And, ("x",), "x = x & (x = x & x = x)", True, 3),
+    # `forall y` maps the full team to itself, where `x = x` is stored
+    (Forall, ("x", "y"), "x = x & forall y x = x", True, 3),
+    (DepAtom, ("x", "y"), "=(x;y) | =(y;x)", False, 577),
+    (RelAtom, ("x", "y"), "E(x,y) | E(y,x)", False, 529),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,team_domain,text,satisfied,expansions",
+    _KIND_BOUNDARIES,
+    ids=[kind.__name__ for kind, *_ in _KIND_BOUNDARIES],
+)
+def test_optimized_budget_boundary_per_node_kind(
+    runs, tmp_path, kind, team_domain, text, satisfied, expansions
+):
+    from teamcheck.evaluator import _compile
+
+    structure, team, formula = _on_triangle(team_domain, text)
+    outcome = run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions)
+    assert (outcome.satisfied, outcome.expansions) == (satisfied, expansions)
+    with pytest.raises(BudgetExceededError) as info:
+        run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions - 1)
+    assert info.value.expansions == expansions
+    # the misses left unstored are the tripping one and the misses that
+    # wait on it; each is a child of the one before, and a child is
+    # interned before its parent
+    stored = [
+        {(reg.domain, node_id, mask) for reg in run.registries.values()
+         for node_id, table in reg.memos.items() for mask in table}
+        for run in runs
+    ]
+    tripped = min(node_id for _, node_id, _ in stored[0] - stored[1])
+    assert type(_compile(structure, team, formula)[tripped].formula) is kind
+    assert _exits_three(tmp_path, structure, team, formula, "opt", expansions - 1)
+
+
+@pytest.mark.parametrize("team_domain,text,satisfied,expansions", _FO_PINNED)
+def test_fo_tarski_budget_boundary(tmp_path, team_domain, text, satisfied, expansions):
+    structure, team, formula = _on_triangle(team_domain, text)
+    outcome = run_check(structure, team, formula, Engine.FO_TARSKI, budget=expansions)
+    assert (outcome.satisfied, outcome.expansions) == (satisfied, expansions)
+    with pytest.raises(BudgetExceededError) as info:
+        run_check(structure, team, formula, Engine.FO_TARSKI, budget=expansions - 1)
+    assert info.value.expansions == expansions
+    assert _exits_three(tmp_path, structure, team, formula, "fo", expansions - 1)
+
+
+# per case: how many memo tables hold entries, and a digest of their sorted
+# (subformula, registry domain, items in insertion order)
+_MEMO_ORDER = [
+    (4, "ddf4719e4c1b9945"),
+    (4, "a836fa00b7bb23ca"),
+    (4, "ab78596f7b64f7bc"),
+    (5, "df98a2c32a21c025"),
+    (12, "0789457947dbc11d"),
+    (6, "2ff6b24be8e14eef"),
+    (9, "06924997118a5048"),
+    (8, "3583bbe45ee8a224"),
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(_MEMO_CASES)),
+    ids=["3sat-9", "3sat-12", "skolem-unsat", "skolem-sat-twice", "133", "700", "738", "2961"],
+)
+def test_optimized_search_order_pinned(runs, case):
+    # each table's insertion order is the order of its misses; subformulas
+    # and registries are named by text and domain, not by their numbers
+    from teamcheck import pretty
+    from teamcheck.evaluator import _compile
+
+    structure, team, formula = _MEMO_CASES[case]
+    run_check(structure, team, formula, Engine.OPTIMIZED)
+    (run,) = runs
+    nodes = _compile(structure, team, formula)
+    records = sorted(
+        (pretty(nodes[node_id].formula), reg.domain, tuple(table.items()))
+        for reg in run.registries.values()
+        for node_id, table in reg.memos.items()
+        if table
+    )
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert (len(records), digest) == _MEMO_ORDER[case]
 
 
 def test_existential_collisions_agree_with_naive():
