@@ -8,9 +8,11 @@ names appear only at construction and display boundaries.
 
 from __future__ import annotations
 
-import itertools
 import re
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, product, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .syntax import Vocabulary
@@ -74,7 +76,7 @@ class Structure:
                         f"function {name!r} entry {args!r} does not have arity {arity}"
                     )
                 indexed[tuple(self.element_index(e) for e in args)] = self.element_index(value)
-            for args in itertools.product(range(len(self.universe)), repeat=arity):
+            for args in product(range(len(self.universe)), repeat=arity):
                 if args not in indexed:
                     named = tuple(self.universe[i] for i in args)
                     raise StructureError(f"function {name!r} is not total: missing {named!r}")
@@ -348,7 +350,15 @@ def parse_structure(text: str) -> Structure:
     return Structure(universe, relations, functions, constants)
 
 
+def _check_writable(names: Iterable[str], forbidden: tuple, error: type, kind: str) -> None:
+    """Raise `error` for a name that is empty or holds whitespace or a `forbidden` string."""
+    for name in names:
+        if name.split() != [name] or any(map(name.__contains__, forbidden)):
+            raise error(f"{name!r} cannot be written to a {kind} file")
+
+
 def structure_to_text(structure: Structure) -> str:
+    _check_writable(structure.universe, ("#", "(", ")", ",", "->"), StructureError, "structure")
     lines = ["universe: " + " ".join(structure.universe)]
     for name in sorted(structure.relations):
         arity = structure.relation_arities[name]
@@ -376,52 +386,48 @@ def structure_to_text(structure: Structure) -> str:
 def parse_team(text: str, structure: Structure) -> Team:
     """Parse the header-plus-rows team format; rows are deduplicated.
 
-    A lone ``-`` as the header denotes the empty variable domain, and over
-    an empty domain a lone ``-`` row denotes the empty assignment; this is
-    how the one-row team over no variables is written down.
+    ``#`` starts a comment, blank lines may stand anywhere, and the header
+    is the first line with content.  A lone ``-`` header denotes the empty
+    variable domain, over which a lone ``-`` row denotes the empty
+    assignment: this is how the one-row team over no variables is written.
 
-    A text with no ``#``, whose first line is a header of distinct
-    variables other than ``-`` and whose other lines each hold no value or
-    header-many values, is read in bulk: C-level iterators split its lines
-    and map their values to indices, with no Python code per row.  Any
-    other text, and a text naming an element outside the universe, is read
-    line by line, which reports the first bad row in file order.
+    C-level iterators cut comments, split lines and map values to indices,
+    with no Python code per row.  A text with a ragged row or an element
+    outside the universe is read again line by line, to name its first bad
+    row in file order.
     """
     lines = text.splitlines()
-    if lines and "#" not in text:
-        domain = tuple(lines[0].split())
-        width = len(domain)
-        if (
-            domain not in ((), ("-",))
-            and len(set(domain)) == width
-            and set(map(len, map(str.split, itertools.islice(lines, 1, None)))) <= {0, width}
-        ):
-            tokens = itertools.chain.from_iterable(map(str.split, itertools.islice(lines, 1, None)))
-            values = map(structure._index.__getitem__, tokens)
-            try:  # zip drops a short last row, which the width test rules out
-                return Team(domain, frozenset(zip(*[values] * width)))
-            except KeyError:
-                pass
-    lines = _content_lines(text)
-    _, header = next(lines, (0, None))
+    if "#" in text:
+        lines = list(map(itemgetter(0), map(str.partition, lines, repeat("#"))))
+    header = next(compress(count(), map(str.split, lines)), None)
     if header is None:
         raise TeamError("team file is empty")
-    domain = () if header == "-" else tuple(header.split())
-    if len(set(domain)) != len(domain):
-        raise TeamError("team header has duplicate variables")
+    domain = () if lines[header].split() == ["-"] else tuple(lines[header].split())
     width = len(domain)
-
-    def rows():
-        for lineno, line in lines:
-            values = () if not domain and line == "-" else line.split()
-            if len(values) != width:
-                raise TeamError(f"line {lineno}: row has {len(values)} values, expected {width}")
-            yield values
-
-    return Team.from_named_rows(domain, rows(), structure)
+    if len(set(domain)) != width:
+        raise TeamError("team header has duplicate variables")
+    if not domain:
+        kinds = set(map(str.strip, islice(lines, header + 1, None)))
+        if kinds <= {"", "-"}:
+            return Team((), frozenset({()} if "-" in kinds else ()))
+    elif set(map(len, map(str.split, islice(lines, header + 1, None)))) <= {0, width}:
+        tokens = chain.from_iterable(map(str.split, islice(lines, header + 1, None)))
+        values = map(structure._index.__getitem__, tokens)
+        with suppress(KeyError):  # zip drops a short last row, which the width test rules out
+            return Team(domain, frozenset(zip(*[values] * width)))
+    # Only a bad text gets here: raise at its first ragged row or unknown element.
+    for lineno, line in islice(_content_lines(text), 1, None):
+        row = () if not domain and line == "-" else line.split()
+        if len(row) != width:
+            raise TeamError(f"line {lineno}: row has {len(row)} values, expected {width}")
+        Team.from_named_rows(domain, [row], structure)
 
 
 def team_to_text(team: Team, structure: Structure) -> str:
+    if team.domain == ("-",):
+        raise TeamError("a team over the one variable '-' cannot be written to a team file")
+    elements = map(structure.universe.__getitem__, set(chain.from_iterable(team.rows)))
+    _check_writable(chain(team.domain, elements), ("#",), TeamError, "team")
     lines = [" ".join(team.domain) if team.domain else "-"]
     for row in team.sorted_rows():
         if row:

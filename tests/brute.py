@@ -2,8 +2,9 @@
 
 These implementations deliberately share no code with the package: DPLL
 cross-checks the exhaustive SAT oracle, full permutation search and a
-subset recurrence cross-check the branch-and-bound treewidth, and subset
-enumeration cross-checks team properties.
+subset recurrence cross-check the branch-and-bound treewidth, subset
+enumeration cross-checks team properties, and a literal line-by-line
+reader cross-checks the team-file loader.
 """
 
 from __future__ import annotations
@@ -173,3 +174,38 @@ def dep_violation_pairwise(structure, team, atom):
             if agree and any(value(t, first) != value(t, second) for t in atom.consequent):
                 return first, second
     return None
+
+
+def team_file_by_lines(text: str, structure):
+    """A team file read line by line, as the README documents the format.
+
+    '#' starts a comment and blank lines are skipped.  The first line with
+    content is the header; a lone '-' header is the empty domain, over which
+    a lone '-' row is the empty assignment.  Returns the Team, or the
+    message of the TeamError that the file's first bad row must raise.
+    """
+    from teamcheck import Team
+
+    index = {name: i for i, name in enumerate(structure.universe)}
+    domain = None
+    rows = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        values = line.split("#")[0].split()
+        if not values:
+            continue
+        if domain is None:
+            if len(set(values)) < len(values):
+                return "team header has duplicate variables"
+            domain = () if values == ["-"] else tuple(values)
+        elif not domain and values == ["-"]:
+            rows.add(())
+        elif len(values) != len(domain):
+            return f"line {number}: row has {len(values)} values, expected {len(domain)}"
+        else:
+            for value in values:
+                if value not in index:
+                    return f"element {value!r} is not in the universe"
+            rows.add(tuple(index[value] for value in values))
+    if domain is None:
+        return "team file is empty"
+    return Team(domain, frozenset(rows))

@@ -166,6 +166,35 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     assert outputs(bom) == expected
 
 
+def test_commented_team_file_reads_like_the_plain_one(tmp_path, capsys):
+    structure = str(DATA / "flights.structure")
+    commented = (DATA / "flights.team").read_text()
+    assert commented.startswith("\n\n#") and " # " in commented.splitlines()[-1]
+    contents = [line.partition("#")[0].strip() for line in commented.splitlines()]
+    plain = write(tmp_path / "plain.team", "\n".join(filter(None, contents)) + "\n")
+    sat = write(tmp_path / "sat.formula", "=(Flight,Date,Time;Destination,Gate)\n")
+    unsat = write(tmp_path / "unsat.formula", "=(Destination,Gate;Time)\n")
+
+    def outputs(team):
+        seen = []
+        for command, formula in (("check", sat), ("check", unsat), ("params", sat)):
+            rc = run_cli(command, structure, team, formula)
+            seen.append((rc, capsys.readouterr()))
+        return seen
+
+    expected = outputs(plain)
+    assert [rc for rc, _ in expected] == [0, 1, 0]
+    assert "witness_row2=FIN-80 HEL-FI C1 04.10.2021 19:55\n" in expected[1][1].out
+    assert outputs(str(DATA / "flights.team")) == expected
+
+    lines = commented.splitlines()
+    lines.insert(6, "SAS-477 HAJ-DE C2  # a short row")
+    ragged = write(tmp_path / "ragged.team", "\n".join(lines) + "\n")
+    for command in ("check", "params"):
+        assert run_cli(command, structure, ragged, sat) == 2
+        assert capsys.readouterr().err == "error: line 7: row has 3 values, expected 5\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import functools
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from teamcheck import (
 )
 from teamcheck import model
 
+from brute import team_file_by_lines
 from depgen import random_structure, random_team
 
 
@@ -342,10 +345,67 @@ def test_empty_domain_team_round_trips_via_dash_marker(abc):
     assert parse_team("-\n", abc) == Team((), frozenset())
 
 
-# --- the bulk team loader ---------------------------------------------------------
+def test_writers_refuse_names_that_would_not_read_back():
+    structure = Structure(["a", "a#b"])
+    with pytest.raises(TeamError, match="'a#b' cannot be written"):
+        team_to_text(Team.from_named_rows(("x",), [("a#b",)], structure), structure)
+    with pytest.raises(TeamError, match="one variable '-'"):
+        team_to_text(Team(("-",), frozenset({(0,)})), structure)
+    with pytest.raises(StructureError, match="'a#b' cannot be written"):
+        structure_to_text(structure)
+
+
+def test_writers_raise_or_round_trip():
+    rng = random.Random(23)
+    alphabet, weights = "ab-># (),\t", [24] * 4 + [1] * 6
+
+    def names(low):
+        drawn = ("".join(rng.choices(alphabet, weights, k=rng.randint(0, 3))) for _ in range(5))
+        return list(dict.fromkeys(drawn))[: rng.randint(low, 4)]
+
+    outcomes = {"structure": collections.Counter(), "team": collections.Counter()}
+    for _ in range(600):
+        universe = names(1)
+        pick = functools.partial(rng.choice, universe)
+        structure = Structure(
+            universe,
+            relations={"E": (2, [(pick(), pick()) for _ in range(rng.randint(0, 3))])},
+            functions={
+                "f": (1, {u: pick() for u in universe}),
+                "g": (2, {(u, v): pick() for u in universe for v in universe}),
+            },
+            constants={"c": pick()},
+        )
+        try:
+            text = structure_to_text(structure)
+        except StructureError:
+            outcomes["structure"]["raised"] += 1
+        else:
+            again = parse_structure(text)
+            for field in ("universe", "relations", "functions", "constants"):
+                assert getattr(again, field) == getattr(structure, field), repr(text)
+            outcomes["structure"]["read back"] += 1
+        domain = tuple(names(0))
+        team = Team(domain, frozenset(
+            tuple(rng.randrange(len(universe)) for _ in domain) for _ in range(rng.randint(0, 3))
+        ))
+        try:
+            text = team_to_text(team, structure)
+        except TeamError:
+            outcomes["team"]["raised"] += 1
+        else:
+            assert parse_team(text, structure) == team, repr(text)
+            outcomes["team"]["read back"] += 1
+    assert min(min(counts.values()) for counts in outcomes.values()) >= 100, outcomes
+
+
+# --- the team loader ---------------------------------------------------------------
 #
-# A '#' anywhere sends parse_team down the line-by-line path, and an appended
-# comment line changes nothing else, so that path is the oracle for the bulk one.
+# parse_team reads every valid text with C-level iterators and calls
+# _content_lines only to name the first bad row of a bad text.  The oracle is
+# brute.team_file_by_lines, a literal line-by-line reader of the documented
+# format.  Each corpus text is also read with a comment line or a blank line
+# on top, and with PER_LINE appended, which must change nothing else.
 
 PER_LINE = "\n# per-line\n"
 
@@ -354,7 +414,11 @@ def _team_or_error(text, structure):
     try:
         return parse_team(text, structure)
     except TeamError as exc:
-        return f"TeamError: {exc}"
+        return str(exc)
+
+
+def _refuse_line_by_line(text):
+    raise AssertionError("parse_team read the text line by line")
 
 
 def _loader_corpus(abc):
@@ -392,6 +456,22 @@ def _loader_corpus(abc):
         " - \n - \n",
         "- x\na b\n",
         "x\n-\n",
+        # comments and blank lines
+        "#\n# only comments\n",
+        "x y\na b\n# note\n#\n  # indented note\nb c\n",
+        "x y # the header\na b\n",
+        "x y#\na b\n",
+        "\n  \n# exported\n\t\n# again\nx y\na b\n",
+        "x y\na b#c\n",
+        "-#x\n",
+        "-#x\n-#x\n",
+        "-\n\n# unit\n - # the empty assignment\n",
+        "-#x\na#x\n",
+        "x\n-#x\n",
+        "x y\n# note\na b\nc\n",
+        "x y\na b\n# note\nzz a # bad\n",
+        "# top\r\nx y # header\r\na b # row\r\n\r\n# note\r\nb c\r\n",
+        "# top\r\nx y\r\na b # row\r\nc # short\r\n",
     ]:
         yield abc, text
     # '#' starts a comment even where the universe has names that hold it
@@ -400,13 +480,18 @@ def _loader_corpus(abc):
         yield hashes, text
 
 
-def test_bulk_team_loader_agrees_with_the_line_by_line_path(abc):
-    bulk = 0
+def test_bulk_team_loader_agrees_with_the_line_by_line_path(abc, monkeypatch):
+    loaded = 0
     for structure, text in _loader_corpus(abc):
-        got = _team_or_error(text, structure)
-        assert got == _team_or_error(text + PER_LINE, structure), repr(text)
-        bulk += isinstance(got, Team) and bool(got.domain)
-    assert bulk >= 150
+        for variant in (text, "# exported\n" + text, "\n" + text, text + PER_LINE):
+            expected = team_file_by_lines(variant, structure)
+            assert _team_or_error(variant, structure) == expected, repr(variant)
+            if isinstance(expected, Team):
+                with monkeypatch.context() as patch:
+                    patch.setattr(model, "_content_lines", _refuse_line_by_line)
+                    assert parse_team(variant, structure) == expected, repr(variant)
+                loaded += bool(expected.domain)
+    assert loaded >= 600
 
 
 def test_bulk_team_loader_reads_without_the_line_by_line_path(monkeypatch):
@@ -417,12 +502,14 @@ def test_bulk_team_loader_reads_without_the_line_by_line_path(monkeypatch):
     team = Team(domain, rows)
     canonical = team_to_text(team, structure)
     spaced = canonical.replace("\n", "\n\n  \t\n").replace(" ", "\t ")
+    header, *lines = canonical.splitlines()
+    commented = "\n \n# exported rows\n" + header + "  # the variables\n" + "".join(
+        line + (" # note\n" if i % 3 else "\n# every third row\n") for i, line in enumerate(lines)
+    )
 
-    def line_by_line(text):
-        raise AssertionError("parse_team left the bulk path")
-
-    monkeypatch.setattr(model, "_content_lines", line_by_line)
-    assert parse_team(canonical, structure) == team
-    assert parse_team(spaced, structure) == team
-    with pytest.raises(AssertionError, match="left the bulk path"):
-        parse_team(canonical + PER_LINE, structure)
+    monkeypatch.setattr(model, "_content_lines", _refuse_line_by_line)
+    for text in (canonical, spaced, commented, canonical + PER_LINE):
+        assert parse_team(text, structure) == team
+    for bad_row in ("e000 e001", "e000 e001 zz"):
+        with pytest.raises(AssertionError, match="read the text line by line"):
+            parse_team(commented + bad_row + "\n", structure)
