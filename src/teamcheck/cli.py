@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .evaluator import (
@@ -33,11 +32,11 @@ from .reductions import parse_dimacs, parse_pdl, reduce_3sat, reduce_pdl
 from .syntax import (
     DepAtom,
     Formula,
-    SyntacticParams,
     analyze,
     parse_formula,
     pretty,
 )
+from .value import Value, new_value
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -55,18 +54,24 @@ _ENGINES = {
 }
 
 
-@dataclass(frozen=True)
-class ParameterReport(SyntacticParams):
+class ParameterReport(Value):
     """The nine parameter values of a model-checking instance."""
 
-    structure_size: int
-    team_size: int
-    treewidth: int
-    treewidth_is_exact: bool
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        splits: int, foralls: int, arity: int, vars: int, free_vars: int, size: int,
+        structure_size: int, team_size: int, treewidth: int, treewidth_is_exact: bool,
+    ):
+        return new_value(cls, (
+            cls, splits, foralls, arity, vars, free_vars, size,
+            structure_size, team_size, treewidth, treewidth_is_exact,
+        ))
 
     def lines(self) -> list[str]:
         """One `key=value` line per parameter, with treewidth tagged."""
-        values = asdict(self)
+        values = self._asdict()
         tag = "exact" if values.pop("treewidth_is_exact") else "upper-bound"
         values["treewidth"] = f"{self.treewidth}({tag})"
         return [f"{key}={value}" for key, value in values.items()]
@@ -83,7 +88,7 @@ def build_report(structure: Structure, team: Team, formula: Formula) -> Paramete
         treewidth, _ = treewidth_greedy(graph)
         exact = False
     return ParameterReport(
-        **asdict(params),
+        **params._asdict(),
         structure_size=structure.size,
         team_size=len(team),
         treewidth=treewidth,

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import itemgetter, or_
@@ -67,6 +66,7 @@ from .syntax import (
     free_variables,
     subterms,
 )
+from .value import Value, new_value
 
 
 class Engine(str, Enum):
@@ -85,11 +85,11 @@ class BudgetExceededError(RuntimeError):
         self.expansions = budget + 1
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    satisfied: bool
-    engine: Engine
-    expansions: int
+class CheckOutcome(Value):
+    __slots__ = ()
+
+    def __new__(cls, satisfied: bool, engine: Engine, expansions: int):
+        return new_value(cls, (cls, satisfied, engine, expansions))
 
 
 class _Run:
@@ -353,9 +353,40 @@ class _Registry:
         return (1 << len(self.rows)) - 1
 
 
+def _byte_table(k: int) -> list[tuple[int, ...]]:
+    """Entry b: the positions of the set bits of byte value b at byte k of a
+    mask, ascending.  Entries 2^j to 2^(j+1) - 1 are entries 0 to 2^j - 1,
+    each with bit j added last."""
+    table = [()]
+    for i in range(8 * k, 8 * k + 8):
+        table += [bits + (i,) for bits in table]
+    return table
+
+
+def _byte_flags() -> list[bytes]:
+    """Entry b: the bits of byte value b as 8 bytes of 0 or 1, lowest first,
+    built by the same doubling."""
+    table = [b""]
+    for _ in range(8):
+        table = [flags + bit for bit in (b"\0", b"\1") for flags in table]
+    return table
+
+
+# about 0.1 ms at import in all, and read-only after it
+_LOW, _HIGH, _BYTE_FLAGS = _byte_table(0), _byte_table(1), _byte_flags()
+
+
 def _bits(mask: int) -> list[int]:
-    """The set bit positions of `mask`, ascending, in time linear in its width."""
-    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+    """The set bit positions of `mask`, ascending, with no Python code per bit.
+
+    A mask below 2^16 joins its two bytes' entries of `_LOW` and `_HIGH`;
+    every `_bits` call on `sat3` takes this path.  A wider one picks the
+    positions whose `_BYTE_FLAGS` flag is set."""
+    if mask < 65536:
+        return [*_LOW[mask & 255], *_HIGH[mask >> 8]]
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    flags = b"".join(map(_BYTE_FLAGS.__getitem__, data))
+    return list(itertools.compress(itertools.count(), flags))
 
 
 def _bits_by_row(reg: _Registry, mask: int) -> list[int]:

@@ -2,26 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Structure, _content_lines
+from .value import Value, new_value
 
 
 class GraphError(ValueError):
     """Malformed graph, oversized exact-treewidth input, or bad decomposition text."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """An undirected graph without self-loops.
 
     Vertices keep their construction order; edges are stored as pairs
     normalized by vertex position.
     """
 
-    vertices: tuple
-    edges: frozenset
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple, edges: frozenset):
+        return new_value(cls, (cls, vertices, edges))
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> "Graph":
@@ -42,18 +43,15 @@ class Graph:
         return cls(vertices, frozenset(normalized))
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(Value):
     """Bags of vertices joined by tree edges; width is max bag size minus one."""
 
-    bags: tuple[frozenset, ...]
-    tree_edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in self.bags))
-        object.__setattr__(
-            self, "tree_edges", frozenset(tuple(sorted(e)) for e in self.tree_edges)
-        )
+    def __new__(cls, bags: Iterable[Iterable], tree_edges: Iterable[Iterable[int]]):
+        bags = tuple(frozenset(b) for b in bags)
+        tree_edges = frozenset(tuple(sorted(e)) for e in tree_edges)
+        return new_value(cls, (cls, bags, tree_edges))
 
     @property
     def width(self) -> int:
@@ -62,10 +60,11 @@ class TreeDecomposition:
         return max(len(bag) for bag in self.bags) - 1
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violation: str | None = None
+class ValidationResult(Value):
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, violation: str | None = None):
+        return new_value(cls, (cls, ok, violation))
 
     def __bool__(self) -> bool:
         return self.ok

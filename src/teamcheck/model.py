@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from dataclasses import dataclass
-from itertools import chain, compress, count, islice, product, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, islice, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .syntax import Vocabulary
+from .value import Value, new_value
 
 
 class StructureError(ValueError):
@@ -116,18 +115,17 @@ class Structure:
         return f"Structure(|A|={self.size}, vocab={sorted(self._vocabulary.relations)})"
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Value):
     """A single row: a total mapping from its variable domain to element indices."""
 
-    domain: tuple[str, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.domain) != len(self.values):
+    def __new__(cls, domain: tuple[str, ...], values: tuple[int, ...]):
+        if len(domain) != len(values):
             raise TeamError("assignment domain and values differ in length")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):
             raise TeamError("assignment domain has duplicate variables")
+        return new_value(cls, (cls, domain, values))
 
     def __getitem__(self, var: str) -> int:
         try:
@@ -161,27 +159,26 @@ def _extension(domain: tuple, pos: dict, var: str):
     return domain + (var,), new_pos, extend
 
 
-@dataclass(frozen=True)
-class Team:
+class Team(Value):
     """A set of assignments sharing one variable domain.
 
     The empty team (no rows) and the team of the single empty assignment
     (empty domain, one row) are distinct values.
     """
 
-    domain: tuple[str, ...]
-    rows: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if not isinstance(self.rows, frozenset):
-            object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
-        if len(set(self.domain)) != len(self.domain):
+    def __new__(cls, domain: Sequence[str], rows: Iterable[Sequence[int]]):
+        domain = tuple(domain)
+        if not isinstance(rows, frozenset):
+            rows = frozenset(tuple(r) for r in rows)
+        if len(set(domain)) != len(domain):
             raise TeamError("team domain has duplicate variables")
-        width = len(self.domain)
-        for row in self.rows:
+        width = len(domain)
+        for row in rows:
             if len(row) != width:
                 raise TeamError(f"row {row!r} does not match domain width {width}")
+        return new_value(cls, (cls, domain, rows))
 
     @classmethod
     def from_named_rows(
@@ -278,6 +275,12 @@ _DECL = re.compile(r"(relation|function)\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\
 _GROUP = re.compile(r"\(([^()]*)\)")
 _FUNC_ENTRY = re.compile(r"(\(([^()]*)\)|[^\s()]+?)\s*->\s*([^\s()]+)")
 _CONSTANT = re.compile(r"constant\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*$")
+
+
+# a comment: from '#' up to the next line break that str.splitlines knows.
+# parse_team replaces each with a space, not with nothing, so that a comment
+# line between a '\r' and a '\n' does not join them into one line break.
+_COMMENT = r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
 
 def _content_lines(text: str):
@@ -391,14 +394,14 @@ def parse_team(text: str, structure: Structure) -> Team:
     variable domain, over which a lone ``-`` row denotes the empty
     assignment: this is how the one-row team over no variables is written.
 
-    C-level iterators cut comments, split lines and map values to indices,
-    with no Python code per row.  A text with a ragged row or an element
-    outside the universe is read again line by line, to name its first bad
-    row in file order.
+    One substitution cuts the comments, and C-level iterators split lines
+    and map values to indices, with no Python code per row.  A text with a
+    ragged row or an element outside the universe is read again line by
+    line, to name its first bad row in file order.
     """
-    lines = text.splitlines()
     if "#" in text:
-        lines = list(map(itemgetter(0), map(str.partition, lines, repeat("#"))))
+        text = re.sub(_COMMENT, " ", text)
+    lines = text.splitlines()
     header = next(compress(count(), map(str.split, lines)), None)
     if header is None:
         raise TeamError("team file is empty")
@@ -411,10 +414,13 @@ def parse_team(text: str, structure: Structure) -> Team:
         if kinds <= {"", "-"}:
             return Team((), frozenset({()} if "-" in kinds else ()))
     elif set(map(len, map(str.split, islice(lines, header + 1, None)))) <= {0, width}:
+        # every row has `width` values, so zip builds each row whole and the
+        # rows need no second width check; the lines are split again lazily,
+        # as one split of the whole text would hold every value at once
         tokens = chain.from_iterable(map(str.split, islice(lines, header + 1, None)))
         values = map(structure._index.__getitem__, tokens)
-        with suppress(KeyError):  # zip drops a short last row, which the width test rules out
-            return Team(domain, frozenset(zip(*[values] * width)))
+        with suppress(KeyError):
+            return new_value(Team, (Team, domain, frozenset(zip(*[values] * width))))
     # Only a bad text gets here: raise at its first ragged row or unknown element.
     for lineno, line in islice(_content_lines(text), 1, None):
         row = () if not domain and line == "-" else line.split()

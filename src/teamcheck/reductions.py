@@ -18,7 +18,6 @@ assignment, so satisfaction matches nonempty-team satisfiability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .model import Structure, Team
@@ -38,29 +37,29 @@ from .syntax import (
     _Parser,
     KEYWORDS,
 )
+from .value import Value, new_value
 
 
 class CNFError(ValueError):
     """Malformed CNF or DIMACS input."""
 
 
-@dataclass(frozen=True)
-class CNF:
+class CNF(Value):
     """A CNF with exactly three literals per clause, variables 1..num_vars."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if self.num_vars < 0:
+    def __new__(cls, num_vars: int, clauses: Iterable[Iterable[int]]):
+        clauses = tuple(tuple(c) for c in clauses)
+        if num_vars < 0:
             raise CNFError("negative variable count")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise CNFError(f"clause {clause!r} does not have exactly 3 literals")
             for lit in clause:
-                if lit == 0 or not (1 <= abs(lit) <= self.num_vars):
+                if lit == 0 or not (1 <= abs(lit) <= num_vars):
                     raise CNFError(f"literal {lit} out of range in clause {clause!r}")
+        return new_value(cls, (cls, num_vars, clauses))
 
 
 def parse_dimacs(text: str) -> CNF:
@@ -210,32 +209,34 @@ def extract_valuation(
 
 # --- propositional dependence logic ---------------------------------------------
 
-@dataclass(frozen=True)
-class PropLit:
-    name: str
-    negated: bool = False
+class PropLit(Value):
+    __slots__ = ()
+
+    def __new__(cls, name: str, negated: bool = False):
+        return new_value(cls, (cls, name, negated))
 
 
-@dataclass(frozen=True)
-class PDLDep:
-    antecedent: tuple[str, ...]
-    consequent: tuple[str, ...]
+class PDLDep(Value):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.consequent:
+    def __new__(cls, antecedent: tuple[str, ...], consequent: tuple[str, ...]):
+        if not consequent:
             raise ValueError("dependence atom needs a nonempty consequent")
+        return new_value(cls, (cls, antecedent, consequent))
 
 
-@dataclass(frozen=True)
-class PDLAnd:
-    left: "PDLFormula"
-    right: "PDLFormula"
+class PDLAnd(Value):
+    __slots__ = ()
+
+    def __new__(cls, left: PDLFormula, right: PDLFormula):
+        return new_value(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class PDLOr:
-    left: "PDLFormula"
-    right: "PDLFormula"
+class PDLOr(Value):
+    __slots__ = ()
+
+    def __new__(cls, left: PDLFormula, right: PDLFormula):
+        return new_value(cls, (cls, left, right))
 
 
 PDLFormula = Union[PropLit, PDLDep, PDLAnd, PDLOr]

@@ -22,8 +22,9 @@ atoms; negated equalities and negated dependence atoms are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
+
+from .value import Value, new_value
 
 KEYWORDS = frozenset({"forall", "exists"})
 
@@ -41,24 +42,25 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Value):
     """Declared relation, function, and constant symbols.
 
     Relation and function symbols carry an arity of at least one; the
     three name spaces must not overlap and must avoid the keywords.
     """
 
-    relations: Mapping[str, int] = field(default_factory=dict)
-    functions: Mapping[str, int] = field(default_factory=dict)
-    constants: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", dict(self.relations))
-        object.__setattr__(self, "functions", dict(self.functions))
-        object.__setattr__(self, "constants", frozenset(self.constants))
+    def __new__(
+        cls,
+        relations: Mapping[str, int] | None = None,
+        functions: Mapping[str, int] | None = None,
+        constants: frozenset[str] = frozenset(),
+    ):
+        relations, functions = dict(relations or {}), dict(functions or {})
+        constants = frozenset(constants)
         seen: set[str] = set()
-        for name in (*self.relations, *self.functions, *self.constants):
+        for name in (*relations, *functions, *constants):
             if not _IDENT.fullmatch(name):
                 raise ValueError(f"invalid symbol name {name!r}")
             if name in KEYWORDS:
@@ -66,9 +68,10 @@ class Vocabulary:
             if name in seen:
                 raise ValueError(f"symbol {name!r} declared more than once")
             seen.add(name)
-        for name, arity in (*self.relations.items(), *self.functions.items()):
+        for name, arity in (*relations.items(), *functions.items()):
             if arity < 1:
                 raise ValueError(f"symbol {name!r} must have arity >= 1, got {arity}")
+        return new_value(cls, (cls, relations, functions, constants))
 
 
 EMPTY_VOCABULARY = Vocabulary()
@@ -76,20 +79,25 @@ EMPTY_VOCABULARY = Vocabulary()
 
 # --- terms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return new_value(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Value):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return new_value(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str
-    args: tuple["Term", ...]
+class Func(Value):
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple[Term, ...]):
+        return new_value(cls, (cls, name, args))
 
 
 Term = Union[Var, Const, Func]
@@ -97,57 +105,61 @@ Term = Union[Var, Const, Func]
 
 # --- formulas ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Equality:
-    left: Term
-    right: Term
+class Equality(Value):
+    __slots__ = ()
+
+    def __new__(cls, left: Term, right: Term):
+        return new_value(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class RelAtom:
-    name: str
-    args: tuple[Term, ...]
-    negated: bool = False
+class RelAtom(Value):
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple[Term, ...], negated: bool = False):
+        return new_value(cls, (cls, name, args, negated))
 
 
-@dataclass(frozen=True)
-class DepAtom:
+class DepAtom(Value):
     """Dependence atom: rows agreeing on `antecedent` agree on `consequent`.
 
     An empty antecedent gives a constancy atom; the consequent is never
     empty.  The arity of the atom is the length of the antecedent.
     """
 
-    antecedent: tuple[Term, ...]
-    consequent: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.consequent:
+    def __new__(cls, antecedent: tuple[Term, ...], consequent: tuple[Term, ...]):
+        if not consequent:
             raise ValueError("dependence atom needs a nonempty consequent")
+        return new_value(cls, (cls, antecedent, consequent))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Value):
+    __slots__ = ()
+
+    def __new__(cls, left: Formula, right: Formula):
+        return new_value(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Value):
+    __slots__ = ()
+
+    def __new__(cls, left: Formula, right: Formula):
+        return new_value(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Value):
+    __slots__ = ()
+
+    def __new__(cls, var: str, body: Formula):
+        return new_value(cls, (cls, var, body))
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Value):
+    __slots__ = ()
+
+    def __new__(cls, var: str, body: Formula):
+        return new_value(cls, (cls, var, body))
 
 
 Formula = Union[Equality, RelAtom, DepAtom, And, Or, Exists, Forall]
@@ -155,16 +167,15 @@ Formula = Union[Equality, RelAtom, DepAtom, And, Or, Exists, Forall]
 _ATOMS = (Equality, RelAtom, DepAtom)
 
 
-@dataclass(frozen=True)
-class SyntacticParams:
+class SyntacticParams(Value):
     """The six syntactic parameter values of a formula."""
 
-    splits: int
-    foralls: int
-    arity: int
-    vars: int
-    free_vars: int
-    size: int
+    __slots__ = ()
+
+    def __new__(
+        cls, splits: int, foralls: int, arity: int, vars: int, free_vars: int, size: int
+    ):
+        return new_value(cls, (cls, splits, foralls, arity, vars, free_vars, size))
 
 
 # --- traversals -------------------------------------------------------------

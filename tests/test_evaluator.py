@@ -707,6 +707,22 @@ def test_mask_bits_round_trip():
             assert _bits(mask) == numbers
 
 
+def test_mask_bits_match_the_binary_string_reading():
+    from teamcheck.evaluator import _bits
+
+    def by_binary_string(mask):
+        return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+
+    rng = random.Random(300)
+    for width in range(301):
+        for _ in range(8):
+            mask = rng.getrandbits(width)
+            assert _bits(mask) == by_binary_string(mask), mask
+        assert _bits((1 << width) - 1) == list(range(width))
+        if width:
+            assert _bits(1 << (width - 1)) == [width - 1]
+
+
 def test_expansion_counts_are_deterministic(pair):
     team = Team.from_named_rows(("x",), [("0",), ("1",)], pair)
     f = fparse("R(x) | !R(x)", pair)

@@ -472,6 +472,11 @@ def _loader_corpus(abc):
         "x y\na b\n# note\nzz a # bad\n",
         "# top\r\nx y # header\r\na b # row\r\n\r\n# note\r\nb c\r\n",
         "# top\r\nx y\r\na b # row\r\nc # short\r\n",
+        # a comment line between a '\r' and a '\n' keeps its own line number
+        "x y\r# note\na b\r#\nb c\n",
+        "x y\r# note\na b\r#\nc\n",
+        "x y # h\u2028a b #r\u2029b c#\x1dc a\x1e#\x85a\n",
+        "x\x0b# v\x0ca #f\x1cb\x1fc\n",
     ]:
         yield abc, text
     # '#' starts a comment even where the universe has names that hold it
