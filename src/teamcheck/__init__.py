@@ -41,11 +41,6 @@ from .model import (
 from .reductions import (
     CNF,
     CNFError,
-    PDLAnd,
-    PDLDep,
-    PDLFormula,
-    PDLOr,
-    PropLit,
     evaluate_cnf,
     extract_valuation,
     parse_dimacs,

@@ -190,7 +190,7 @@ def _bench_instance(family: str, value: int) -> tuple[Structure, Team, Formula]:
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not (sep and text.isascii() and lo.isdigit() and hi.isdigit()):
         raise ValueError(f"bad range {text!r}, expected LO..HI")
     return range(int(lo), int(hi) + 1)
 

@@ -343,14 +343,15 @@ def decomposition_from_text(text: str) -> TreeDecomposition:
     for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "bag":
-            if len(parts) < 2 or not parts[1].rstrip(":").isdigit():
+            # ASCII only: str.isdigit also accepts a superscript two, which int() rejects
+            if len(parts) < 2 or not (parts[1].isascii() and parts[1].rstrip(":").isdigit()):
                 raise GraphError(f"line {lineno}: bad bag line")
             index = int(parts[1].rstrip(":"))
             if index in bags:
                 raise GraphError(f"line {lineno}: duplicate bag {index}")
             bags[index] = frozenset(parts[2:])
         elif parts[0] == "edge":
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts[1:]):
                 raise GraphError(f"line {lineno}: bad edge line")
             edges.append((int(parts[1]), int(parts[2])))
         else:

@@ -284,8 +284,9 @@ _COMMENT = r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    if "#" in text:
+        text = re.sub(_COMMENT, " ", text)
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
         if line:
             yield lineno, line
 

@@ -9,16 +9,17 @@ per clause can be chosen with consistent signs, i.e. when the CNF is
 satisfiable: the (x;y)-part of a cover picks the satisfying literals and
 each (u;v)-part may hold at most one leftover row per clause.
 
-``reduce_pdl`` turns a propositional team-logic formula into model
-checking over the two-element structure with a single unary relation TRUE
-holding 1: propositions become existentially quantified variables and a
-proposition test becomes TRUE(x).  The starting team is the single empty
-assignment, so satisfaction matches nonempty-team satisfiability.
+A propositional dependence logic (PDL) formula is a formula over {TRUE/1}
+whose variables are its propositions: ``p`` is ``TRUE(p)``.  ``reduce_pdl``
+turns its satisfiability into model checking over the two-element structure
+where TRUE holds of 1: the propositions, renamed x1, x2, ..., are quantified
+existentially over the single empty assignment, so satisfaction matches
+nonempty-team satisfiability.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .model import Structure, Team
 from .syntax import (
@@ -29,7 +30,9 @@ from .syntax import (
     Or,
     RelAtom,
     Var,
+    atom_terms,
     parse_formula,
+    subformulas,
     tokenize,
     FormulaSyntaxError,
     _IDENT,
@@ -209,93 +212,67 @@ def extract_valuation(
 
 # --- propositional dependence logic ---------------------------------------------
 
-class PropLit(Value):
-    __slots__ = ()
-
-    def __new__(cls, name: str, negated: bool = False):
-        return new_value(cls, (cls, name, negated))
-
-
-class PDLDep(Value):
-    __slots__ = ()
-
-    def __new__(cls, antecedent: tuple[str, ...], consequent: tuple[str, ...]):
-        if not consequent:
-            raise ValueError("dependence atom needs a nonempty consequent")
-        return new_value(cls, (cls, antecedent, consequent))
+def _proposition(node) -> str:
+    """The proposition of a literal ``TRUE(p)`` or a term ``p``; else TypeError."""
+    match node:
+        case RelAtom(name="TRUE", args=(Var(name=name),)) | Var(name=name):
+            return name
+    raise TypeError(f"not a PDL formula: {node!r}")
 
 
-class PDLAnd(Value):
-    __slots__ = ()
-
-    def __new__(cls, left: PDLFormula, right: PDLFormula):
-        return new_value(cls, (cls, left, right))
-
-
-class PDLOr(Value):
-    __slots__ = ()
-
-    def __new__(cls, left: PDLFormula, right: PDLFormula):
-        return new_value(cls, (cls, left, right))
-
-
-PDLFormula = Union[PropLit, PDLDep, PDLAnd, PDLOr]
-
-
-def pdl_propositions(formula: PDLFormula) -> tuple[str, ...]:
+def pdl_propositions(formula: Formula) -> tuple[str, ...]:
     """Propositions in first-occurrence order."""
     names: dict[str, None] = {}
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, PropLit):
-            names[f.name] = None
-        elif isinstance(f, PDLDep):
-            names.update(dict.fromkeys(f.antecedent + f.consequent))
-        else:
-            stack += (f.right, f.left)
+    for f in subformulas(formula):
+        if isinstance(f, DepAtom):
+            names.update(dict.fromkeys(map(_proposition, atom_terms(f))))
+        elif not isinstance(f, (And, Or)):
+            names[_proposition(f)] = None
     return tuple(names)
 
 
 class _PDLParser(_Parser):
     """Proposition-only restriction of the formula grammar.
 
-    `_Parser` reads connectives, parentheses and dependence atoms, building
-    this grammar's nodes, and no quantifiers.  Overridden: `term` reads a
-    bare proposition; `relatom` and `atom` make a (negated) proposition test.
+    `_Parser` reads connectives, parentheses and dependence atoms, and no
+    quantifiers.  Overridden: `term` reads a bare proposition as a variable;
+    `relatom` and `atom` make a (negated) ``TRUE`` test of it.
     """
 
-    OR, AND, DEP, QUANTIFIERS = PDLOr, PDLAnd, PDLDep, {}
+    QUANTIFIERS = {}
 
-    def term(self) -> str:
+    def term(self) -> Var:
         tok, pos = self._next()
         if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
             raise FormulaSyntaxError(f"expected a proposition, found {tok!r}", pos)
-        return tok
+        return Var(tok)
 
-    def relatom(self, negated: bool) -> PropLit:
-        return PropLit(self.term(), negated)
+    def relatom(self, negated: bool) -> RelAtom:
+        return RelAtom("TRUE", (self.term(),), negated)
 
-    def atom(self) -> PropLit:
+    def atom(self) -> RelAtom:
         return self.relatom(negated=False)
 
 
-def parse_pdl(text: str) -> PDLFormula:
+def parse_pdl(text: str) -> Formula:
     parser = _PDLParser(tokenize(text), len(text))
     formula = parser.disj()
     parser.expect_end()
     return formula
 
 
-def pretty_pdl(formula: PDLFormula) -> str:
-    if isinstance(formula, PropLit):
-        return f"{'!' if formula.negated else ''}{formula.name}"
-    if isinstance(formula, PDLDep):
-        return f"=({','.join(formula.antecedent)};{','.join(formula.consequent)})"
-    return _infix(formula, pretty_pdl, PDLOr, PDLAnd)
+def pretty_pdl(formula: Formula) -> str:
+    """Print with each literal ``TRUE(p)`` written as its proposition ``p``."""
+    if isinstance(formula, (And, Or)):
+        return _infix(formula, pretty_pdl)
+    if isinstance(formula, DepAtom):
+        sides = (formula.antecedent, formula.consequent)
+        return "=({};{})".format(*(",".join(map(_proposition, s)) for s in sides))
+    name = _proposition(formula)
+    return f"{'!' if formula.negated else ''}{name}"
 
 
-def pdl_check(assignments: Iterable[Mapping[str, int]], formula: PDLFormula) -> bool:
+def pdl_check(assignments: Iterable[Mapping[str, int]], formula: Formula) -> bool:
     """Team satisfaction over boolean assignments, with cover-based splits.
 
     Every assignment must be total on the formula's propositions.
@@ -324,32 +301,32 @@ def _mask_rows(mask: int, base: tuple):
         mask ^= low
 
 
-def _pdl_eval(f: PDLFormula, mask: int, base: tuple, position: dict, memo: dict) -> bool:
+def _pdl_eval(f: Formula, mask: int, base: tuple, position: dict, memo: dict) -> bool:
     """Evaluate on the subteam of `base` selected by `mask` bits."""
     key = (f, mask)
     if key in memo:
         return memo[key]
-    if isinstance(f, PropLit):
+    if isinstance(f, RelAtom):
         expected = 0 if f.negated else 1
-        index = position[f.name]
+        index = position[_proposition(f)]
         result = all(row[index] == expected for row in _mask_rows(mask, base))
-    elif isinstance(f, PDLDep):
+    elif isinstance(f, DepAtom):
         seen: dict = {}
         result = True
         for row in _mask_rows(mask, base):
-            antecedent = tuple(row[position[p]] for p in f.antecedent)
-            consequent = tuple(row[position[p]] for p in f.consequent)
+            antecedent = tuple(row[position[p.name]] for p in f.antecedent)
+            consequent = tuple(row[position[p.name]] for p in f.consequent)
             previous = seen.get(antecedent)
             if previous is None:
                 seen[antecedent] = consequent
             elif previous != consequent:
                 result = False
                 break
-    elif isinstance(f, PDLAnd):
+    elif isinstance(f, And):
         result = _pdl_eval(f.left, mask, base, position, memo) and _pdl_eval(
             f.right, mask, base, position, memo
         )
-    elif isinstance(f, PDLOr):
+    elif isinstance(f, Or):
         # covers as (left, rest-plus-shared): left ranges over submasks, the
         # shared part over submasks of left
         result = False
@@ -373,7 +350,7 @@ def _pdl_eval(f: PDLFormula, mask: int, base: tuple, position: dict, memo: dict)
     return result
 
 
-def pdl_sat_brute(formula: PDLFormula) -> bool:
+def pdl_sat_brute(formula: Formula) -> bool:
     """Satisfiability by a nonempty team, decided over single assignments.
 
     Downward closure makes one-assignment teams sufficient; the property
@@ -390,31 +367,27 @@ def pdl_sat_brute(formula: PDLFormula) -> bool:
     return False
 
 
-def reduce_pdl(formula: PDLFormula) -> tuple[Structure, Team, Formula]:
+def reduce_pdl(formula: Formula) -> tuple[Structure, Team, Formula]:
     """Existentially quantify a boolean variable per proposition over {0, 1}.
 
-    Propositions map to variables x1, x2, ... in first-occurrence order;
-    a positive proposition becomes TRUE(xi), a negated one !TRUE(xi), and
-    dependence atoms carry over.  The returned formula has no universal
-    quantifiers and is checked against the single-empty-assignment team.
+    Propositions are renamed to variables x1, x2, ... in first-occurrence
+    order, and each becomes existentially quantified.  The returned formula
+    has no universal quantifiers and is checked against the
+    single-empty-assignment team.
     """
     props = pdl_propositions(formula)
-    variable = {p: f"x{i}" for i, p in enumerate(props, 1)}
+    variable = {Var(p): Var(f"x{i}") for i, p in enumerate(props, 1)}
     structure = Structure(("0", "1"), relations={"TRUE": (1, [("1",)])})
 
-    def translate(f: PDLFormula) -> Formula:
-        if isinstance(f, PropLit):
-            return RelAtom("TRUE", (Var(variable[f.name]),), f.negated)
-        if isinstance(f, PDLDep):
-            return DepAtom(
-                tuple(Var(variable[p]) for p in f.antecedent),
-                tuple(Var(variable[p]) for p in f.consequent),
-            )
-        if isinstance(f, PDLAnd):
-            return And(translate(f.left), translate(f.right))
-        return Or(translate(f.left), translate(f.right))
+    def rename(f: Formula) -> Formula:
+        if isinstance(f, (And, Or)):
+            return type(f)(rename(f.left), rename(f.right))
+        if isinstance(f, DepAtom):
+            sides = (f.antecedent, f.consequent)
+            return DepAtom(*(tuple(map(variable.__getitem__, side)) for side in sides))
+        return RelAtom("TRUE", tuple(map(variable.__getitem__, f.args)), f.negated)
 
-    fo_formula: Formula = translate(formula)
-    for p in reversed(props):
-        fo_formula = Exists(variable[p], fo_formula)
+    fo_formula = rename(formula)
+    for x in reversed(variable.values()):
+        fo_formula = Exists(x.name, fo_formula)
     return structure, Team.of_empty_assignment(), fo_formula

@@ -283,17 +283,17 @@ def pretty_term(term: Term) -> str:
     return f"{term.name}({','.join(pretty_term(a) for a in term.args)})"
 
 
-def _infix(formula, show, OR: type, AND: type) -> str:
-    """Print an `OR` or `AND` node, its operands by `show`: both connectives
+def _infix(formula: And | Or, show) -> str:
+    """Print an `Or` or `And` node, its operands by `show`: both connectives
     associate left, and '&' binds tighter than '|'."""
     left, right = show(formula.left), show(formula.right)
-    if isinstance(formula, OR):
-        if isinstance(formula.right, OR):
+    if isinstance(formula, Or):
+        if isinstance(formula.right, Or):
             right = f"({right})"
         return f"{left} | {right}"
-    if isinstance(formula.left, OR):
+    if isinstance(formula.left, Or):
         left = f"({left})"
-    if isinstance(formula.right, (AND, OR)):
+    if isinstance(formula.right, (And, Or)):
         right = f"({right})"
     return f"{left} & {right}"
 
@@ -310,7 +310,7 @@ def pretty(formula: Formula) -> str:
         cons = ",".join(pretty_term(t) for t in formula.consequent)
         return f"=({ante};{cons})"
     if isinstance(formula, (And, Or)):
-        return _infix(formula, pretty, Or, And)
+        return _infix(formula, pretty)
     if isinstance(formula, (Exists, Forall)):
         word = "exists" if isinstance(formula, Exists) else "forall"
         body = pretty(formula.body)
@@ -339,9 +339,8 @@ def tokenize(text: str) -> list[tuple[str, int]]:
 
 class _Parser:
     """Recursive descent over a token list; the PDL parser reuses it with
-    its own node classes, no quantifiers, and its own leaf rules."""
+    no quantifiers and its own leaf rules."""
 
-    OR, AND, DEP = Or, And, DepAtom
     QUANTIFIERS = {"exists": Exists, "forall": Forall}
 
     def __init__(
@@ -386,14 +385,14 @@ class _Parser:
         node = self.conj()
         while self._peek() == "|":
             self._next()
-            node = self.OR(node, self.conj())
+            node = Or(node, self.conj())
         return node
 
     def conj(self) -> Formula:
         node = self.unit()
         while self._peek() == "&":
             self._next()
-            node = self.AND(node, self.unit())
+            node = And(node, self.unit())
         return node
 
     def unit(self) -> Formula:
@@ -463,7 +462,7 @@ class _Parser:
         self._expect(";")
         consequent = self._items(self.term)
         self._expect(")")
-        return self.DEP(tuple(antecedent), tuple(consequent))
+        return DepAtom(tuple(antecedent), tuple(consequent))
 
     def term(self) -> Term:
         tok, pos = self._next()

@@ -46,43 +46,16 @@ def dpll(cnf: CNF) -> bool:
 
 
 def fo_view_of_pdl(formula):
-    """Translate a propositional team formula to first-order form over {0, 1}.
+    """The first-order view of a propositional team formula over {0, 1}.
 
-    Propositions become free variables of the same name tested with the
-    unary TRUE relation, so a boolean team maps to a first-order team with
-    the propositions as its domain.  Independent of the package's own
-    existential-closure reduction.
+    A PDL formula already is a first-order formula whose propositions are
+    free variables tested with the unary TRUE relation, so a boolean team
+    maps to a first-order team with the propositions as its domain.
+    Independent of the package's own existential-closure reduction.
     """
-    from teamcheck import (
-        And,
-        DepAtom,
-        Or,
-        PDLAnd,
-        PDLDep,
-        PDLOr,
-        PropLit,
-        RelAtom,
-        Structure,
-        Var,
-    )
+    from teamcheck import Structure
 
-    structure = Structure(("0", "1"), relations={"TRUE": (1, [("1",)])})
-
-    def go(f):
-        if isinstance(f, PropLit):
-            return RelAtom("TRUE", (Var(f.name),), f.negated)
-        if isinstance(f, PDLDep):
-            return DepAtom(
-                tuple(Var(p) for p in f.antecedent),
-                tuple(Var(p) for p in f.consequent),
-            )
-        if isinstance(f, PDLAnd):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, PDLOr):
-            return Or(go(f.left), go(f.right))
-        raise TypeError(f)
-
-    return structure, go(formula)
+    return Structure(("0", "1"), relations={"TRUE": (1, [("1",)])}), formula
 
 
 def treewidth_by_orders(graph: Graph) -> int:

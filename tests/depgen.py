@@ -24,10 +24,6 @@ from teamcheck import (
     Formula,
     Func,
     Or,
-    PDLAnd,
-    PDLDep,
-    PDLOr,
-    PropLit,
     RelAtom,
     Structure,
     Team,
@@ -233,15 +229,17 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CNF:
 
 
 def random_pdl(rng: random.Random, props: tuple[str, ...], depth: int):
+    """A PDL formula: a formula over {TRUE/1} whose variables are `props`."""
     if depth <= 0 or rng.random() < 0.4:
         roll = rng.random()
         if roll < 0.5:
-            return PropLit(rng.choice(props), negated=rng.random() < 0.4)
+            prop = Var(rng.choice(props))
+            return RelAtom("TRUE", (prop,), negated=rng.random() < 0.4)
         antecedent = tuple(
-            rng.choice(props) for _ in range(rng.randint(0, min(2, len(props))))
+            Var(rng.choice(props)) for _ in range(rng.randint(0, min(2, len(props))))
         )
-        consequent = tuple(rng.choice(props) for _ in range(rng.randint(1, 2)))
-        return PDLDep(antecedent, consequent)
+        consequent = tuple(Var(rng.choice(props)) for _ in range(rng.randint(1, 2)))
+        return DepAtom(antecedent, consequent)
     left = random_pdl(rng, props, depth - 1)
     right = random_pdl(rng, props, depth - 1)
-    return PDLAnd(left, right) if rng.random() < 0.5 else PDLOr(left, right)
+    return And(left, right) if rng.random() < 0.5 else Or(left, right)

@@ -444,7 +444,10 @@ def test_bench_families_monotone_nodes(tmp_path, family, value_range):
 
 
 def test_bench_bad_range_exits_two(capsys):
-    assert run_cli("bench", "--family", "splits", "--range", "oops") == 2
+    # str.isdigit accepts a superscript two, which int() rejects
+    for value_range in ("oops", "\u00b2..3"):
+        assert run_cli("bench", "--family", "splits", "--range", value_range) == 2
+        assert capsys.readouterr().err == f"error: bad range {value_range!r}, expected LO..HI\n"
 
 
 # --- argparse usage errors ---------------------------------------------------------

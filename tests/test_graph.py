@@ -368,6 +368,11 @@ def test_decomposition_text_errors():
         decomposition_from_text("bag 0: a\nedge 0\n")
     with pytest.raises(GraphError, match="missing bag"):
         decomposition_from_text("bag 0: a\nedge 0 3\n")
+    # str.isdigit accepts a superscript two, which int() rejects
+    with pytest.raises(GraphError, match="^line 1: bad bag line$"):
+        decomposition_from_text("bag \u00b2: a\n")
+    with pytest.raises(GraphError, match="^line 2: bad edge line$"):
+        decomposition_from_text("bag 0: a\nedge 0 \u00b2\n")
 
 
 def test_graph_constructor_rejects_bad_edges():

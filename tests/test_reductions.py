@@ -8,15 +8,15 @@ import pytest
 from teamcheck import (
     CNF,
     CNFError,
+    And,
+    DepAtom,
     Engine,
     Exists,
     FormulaSyntaxError,
-    PDLAnd,
-    PDLDep,
-    PDLOr,
-    PropLit,
+    Or,
     RelAtom,
     Var,
+    Vocabulary,
     analyze,
     check,
     evaluate_cnf,
@@ -24,6 +24,7 @@ from teamcheck import (
     free_variables,
     gaifman,
     parse_dimacs,
+    parse_formula,
     parse_pdl,
     pdl_check,
     pdl_propositions,
@@ -174,11 +175,15 @@ def test_reduced_instance_parameters():
 
 # --- propositional dependence logic -----------------------------------------------
 
+def _true(p: str, negated: bool = False) -> RelAtom:
+    return RelAtom("TRUE", (Var(p),), negated)
+
+
 def test_parse_pdl():
     f = parse_pdl("p1 & !p2 | =(p1;p2)")
-    assert f == PDLOr(
-        PDLAnd(PropLit("p1"), PropLit("p2", negated=True)),
-        PDLDep(("p1",), ("p2",)),
+    assert f == Or(
+        And(_true("p1"), _true("p2", negated=True)),
+        DepAtom((Var("p1"),), (Var("p2"),)),
     )
     assert pdl_propositions(f) == ("p1", "p2")
     assert parse_pdl(pretty_pdl(f)) == f
@@ -200,12 +205,33 @@ def test_parse_pdl_rejects_quantifiers_and_equality():
 
 def test_pdl_round_trip_and_proposition_order():
     rng = random.Random(909)
+    vocab = Vocabulary(relations={"TRUE": 1})
     for _ in range(500):
         f = random_pdl(rng, ("p1", "p2", "q", "r"), depth=rng.randint(0, 4))
         text = pretty_pdl(f)
         assert parse_pdl(text) == f
         names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
         assert pdl_propositions(f) == tuple(dict.fromkeys(names))
+        # a PDL formula is the first-order formula with each literal p as TRUE(p)
+        fo_text = re.sub(
+            r"=\([^)]*\)|([A-Za-z_]\w*)", lambda m: f"TRUE({m[1]})" if m[1] else m[0], text
+        )
+        assert parse_pdl(text) == parse_formula(fo_text, vocab)
+
+
+def test_pdl_functions_reject_formulas_outside_pdl():
+    vocab = Vocabulary(relations={"TRUE": 1, "R": 1}, functions={"f": 1}, constants={"c"})
+    for text in ("R(x)", "TRUE(c)", "TRUE(f(x))", "x = y", "exists x TRUE(x)", "=(c;x)"):
+        for outer in (text, f"TRUE(p) | (=(p;q) & {text})"):
+            formula = parse_formula(outer, vocab)
+            for call in (
+                lambda: pdl_check([], formula),
+                lambda: pdl_sat_brute(formula),
+                lambda: pretty_pdl(formula),
+                lambda: reduce_pdl(formula),
+            ):
+                with pytest.raises(TypeError, match="^not a PDL formula: "):
+                    call()
 
 
 def test_pdl_check_empty_team():
@@ -246,9 +272,9 @@ def test_pdl_sat_brute_examples():
 
 
 def test_pdl_sat_brute_cap():
-    wide = PropLit("p0")
+    wide = _true("p0")
     for i in range(1, 11):
-        wide = PDLAnd(wide, PropLit(f"p{i}"))
+        wide = And(wide, _true(f"p{i}"))
     with pytest.raises(ValueError, match="capped"):
         pdl_sat_brute(wide)
 

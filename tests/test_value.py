@@ -1,7 +1,7 @@
 """The value classes: construction, equality, hashing, immutability and repr.
 
 Every exported syntax tree node, `Team`, `Assignment`, `CheckOutcome`, the
-graph records, the reduction records and the command line's parameter
+graph records, the CNF record and the command line's parameter
 report are built on `teamcheck.value.Value`.
 """
 
@@ -31,10 +31,6 @@ from teamcheck import (
     Func,
     Graph,
     Or,
-    PDLAnd,
-    PDLDep,
-    PDLOr,
-    PropLit,
     RelAtom,
     SyntacticParams,
     Team,
@@ -78,17 +74,13 @@ def _one_of_each():
         TreeDecomposition([{"a", "b"}], []),
         ValidationResult(True),
         CNF(1, [(1, 1, -1)]),
-        PropLit("p"),
-        PDLDep(("p",), ("q",)),
-        PDLAnd(PropLit("p"), PropLit("q")),
-        PDLOr(PropLit("p"), PropLit("q")),
         ParameterReport(*PARAMS, 2, 2, 1, True),
     ]
 
 
 def test_every_value_class_is_covered():
     covered = {type(v) for v in _one_of_each()}
-    assert len(covered) == 24
+    assert len(covered) == 20
 
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -102,7 +94,6 @@ def test_equality_tells_the_classes_apart():
     assert And(EQ, REL) != Or(EQ, REL)
     assert Exists("y", EQ) != Forall("y", EQ)
     assert Var("x") != Const("x")
-    assert PDLAnd(PropLit("p"), PropLit("q")) != PDLOr(PropLit("p"), PropLit("q"))
     assert SyntacticParams(*PARAMS) != ParameterReport(*PARAMS, 2, 2, 1, True)
     assert len({And(EQ, REL), Or(EQ, REL), And(EQ, REL)}) == 2
     assert Var("x") != "x" and Var("x") != ("x",)
@@ -152,7 +143,6 @@ def test_keyword_and_default_construction():
     assert Vocabulary().relations == {} and Vocabulary().constants == frozenset()
     assert RelAtom("R", (x,)) == RelAtom(name="R", args=(x,), negated=False)
     assert RelAtom("R", (x,)).negated is False
-    assert PropLit("p") == PropLit(name="p", negated=False)
     assert ValidationResult(ok=False).violation is None
     assert Team(rows=[(0,)], domain=["x"]) == Team(("x",), {(0,)})
     assert And(right=REL, left=EQ) == And(EQ, REL)
@@ -185,8 +175,6 @@ def test_validating_constructors_still_raise():
         Vocabulary(relations={"R": 1}, constants={"R"})
     with pytest.raises(ValueError, match="nonempty consequent"):
         DepAtom((x,), ())
-    with pytest.raises(ValueError, match="nonempty consequent"):
-        PDLDep(("p",), ())
     with pytest.raises(CNFError, match="negative"):
         CNF(-1, [])
     with pytest.raises(CNFError, match="exactly 3"):
