@@ -13,18 +13,24 @@ Three engines decide whether a structure and a team satisfy a formula:
   of a satisfying team satisfies the formula); the test suite checks this
   equivalence against ``naive`` instead of assuming it.  It numbers the
   rows met over each variable domain in one registry per domain, so a
-  subteam is an int mask over its domain's registry, and it keeps one
-  memo table per (interned subformula, registry), keyed by the bare mask.
-  Each (subformula, registry) pair it reaches is compiled once into a
+  subteam is an int mask over its domain's registry, and each registry
+  keeps one memo table per subformula, keyed by the bare mask.  Each
+  subformula occurrence is compiled once, before the search, into a
   probe of its table and a miss closure on masks; a step probes its
   children's tables inline and calls a child's miss only on a miss.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness), with rows
-  laid out and extended by ``optimized``'s registries.  It memoizes per
-  (interned subformula, values of its free variables), one memo for all
-  registries, so its work is at most |formula| * |A|^(number of variables).
+  laid out and extended by ``optimized``'s registries.  It keeps one memo
+  per subformula for all registries, keyed by the values of the
+  subformula's free variables, so its work is at most
+  |formula| * |A|^(number of variables).
 
-Both compile each atom once per (atom, registry) into row readers:
+Equal subformulas share their tables, since the tables are found by the
+subformula itself.  Compiled closures are held only by their parents'
+closures and by ``run_check``'s frame, never by the run or a registry, so
+a run leaves no reference cycle behind.
+
+Both compile each atom occurrence once into row readers:
 ``operator.itemgetter`` for variables, closures over the structure's
 tables for constants and functions.  Only ``naive``, the oracle, walks an
 atom's terms per row.
@@ -64,6 +70,8 @@ from .syntax import (
     Var,
     atom_terms,
     free_variables,
+    has_dependence_atoms,
+    subformulas,
     subterms,
 )
 from .value import Value, new_value
@@ -99,7 +107,7 @@ class _Run:
         self.structure = structure
         self.limit = sys.maxsize if budget is None else budget  # the most expansions allowed
         self.expansions = 0
-        self.memo: dict = {}  # (node id, free values) -> result, fo_tarski only
+        self.memo: dict = {}  # subformula -> {free values: result}, fo_tarski only
         self.registries: dict = {}  # domain -> _Registry, optimized and fo_tarski
 
     def tick(self) -> None:
@@ -168,40 +176,7 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
     return lambda row: args(row) in table
 
 
-# --- the compiled formula --------------------------------------------------------
-
-class _Node:
-    """An interned subformula with its sorted free variables and what it
-    compiles per registry id: under ``optimized`` its table's probe and its
-    miss closure, under ``fo_tarski`` its free-value reader and row
-    predicate."""
-
-    __slots__ = ("id", "formula", "left", "right", "free", "tables")
-
-    def __init__(self, node_id: int, formula: Formula, left, right, free: tuple):
-        self.id = node_id
-        self.formula = formula
-        self.left = left  # the body, for a quantifier
-        self.right = right
-        self.free = free
-        self.tables: dict = {}
-
-
-def _intern(f: Formula, nodes: dict) -> _Node:
-    node = nodes.get(f)
-    if node is None:
-        left = right = None
-        if isinstance(f, (And, Or)):
-            left, right = _intern(f.left, nodes), _intern(f.right, nodes)
-            free = {*left.free, *right.free}
-        elif isinstance(f, (Exists, Forall)):
-            left = _intern(f.body, nodes)
-            free = set(left.free) - {f.var}
-        else:
-            free = free_variables(f)
-        node = nodes[f] = _Node(len(nodes), f, left, right, tuple(sorted(free)))
-    return node
-
+# --- input checks ------------------------------------------------------------
 
 def _check_term(term: Term, structure: Structure) -> None:
     for t in subterms(term):  # preorder: a function before its arguments
@@ -216,17 +191,12 @@ def _check_term(term: Term, structure: Structure) -> None:
                 raise ValueError(f"function {t.name!r} used with wrong arity")
 
 
-def _compile(structure: Structure, team: Team, formula: Formula) -> list[_Node]:
-    """Intern the formula and check it against the team and the structure.
-
-    Returns the nodes children first, so the root is last."""
-    nodes: dict = {}
-    root = _intern(formula, nodes)
-    missing = set(root.free) - set(team.domain)
+def _validate(structure: Structure, team: Team, formula: Formula) -> None:
+    """Check the formula against the team and the structure."""
+    missing = free_variables(formula) - set(team.domain)
     if missing:
         raise ValueError(f"team domain is missing free variables {sorted(missing)}")
-    for node in nodes.values():  # atoms left to right: the leftmost error wins
-        f = node.formula
+    for f in subformulas(formula):  # atoms left to right: the leftmost error wins
         if isinstance(f, RelAtom):
             arity = structure.relation_arities.get(f.name)
             if arity is None:
@@ -235,7 +205,6 @@ def _compile(structure: Structure, team: Team, formula: Formula) -> list[_Node]:
                 raise ValueError(f"relation {f.name!r} used with wrong arity")
         for term in atom_terms(f):
             _check_term(term, structure)
-    return list(nodes.values())
 
 
 # --- naive engine ------------------------------------------------------------
@@ -319,25 +288,24 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 #
 # A subteam is an int mask over a row registry.  Each variable domain has one
 # registry, which numbers the rows met over that domain in order of first
-# appearance; the root registry is the team's rows.  Subformulas are interned
-# by structural equality, and each registry keeps one memo table per
-# subformula, keyed by the bare mask.  A node's step is compiled per registry
-# into a closure over its readers and its children's probes and misses.
+# appearance; the root registry is the team's rows.  Each registry keeps one
+# memo table per subformula, keyed by the bare mask.  A subformula
+# occurrence's step is compiled into a closure over its readers and its
+# children's probes and misses.
 
 
 class _Registry:
     """The rows met over one variable domain, numbered as they appear."""
 
-    __slots__ = ("id", "domain", "pos", "rows", "index", "ext", "memos")
+    __slots__ = ("domain", "pos", "rows", "index", "ext", "memos")
 
-    def __init__(self, reg_id: int, domain: tuple, pos: dict, rows: list):
-        self.id = reg_id
+    def __init__(self, domain: tuple, pos: dict, rows: list):
         self.domain = domain
         self.pos = pos
         self.rows = rows
         self.index: dict | None = None  # row -> number, built on first need
-        self.ext: dict = {}  # var -> (child registry, extend, per-row child numbers)
-        self.memos: defaultdict = defaultdict(dict)  # node id -> {mask: result}
+        self.ext: dict = {}  # var -> (child domain, extend, per-row child numbers)
+        self.memos: defaultdict = defaultdict(dict)  # subformula -> {mask: result}
 
     def number(self, row: tuple) -> int:
         index = self.index
@@ -402,45 +370,49 @@ def _mask_of(numbers, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _extension_table(run: _Run, reg: _Registry, var: str, mask: int):
-    """The registry for quantifying `var`, the row extender, and the child
-    row numbers per value for each row of `reg` up to `mask`'s highest bit."""
+def _extension_table(run: _Run, reg: _Registry, var: str):
+    """The registry for quantifying `var` over rows of `reg`, the row
+    extender, and a function from a mask to the child row numbers per value
+    of each row of `reg`, numbered up to the mask's highest bit.
+
+    `reg.ext` keeps the child's domain, not the child: where `var` is in
+    `reg`'s domain the child is `reg` itself."""
     entry = reg.ext.get(var)
     if entry is None:
         domain, pos, extend = _extension(reg.domain, reg.pos, var)
-        registries = run.registries
-        child = registries.setdefault(domain, _Registry(len(registries), domain, pos, []))
-        entry = reg.ext[var] = (child, extend, [])
-    child, extend, table = entry
-    values = range(run.structure.size)
-    for row in reg.rows[len(table):mask.bit_length()]:
-        table.append(tuple(child.number(extend(row, a)) for a in values))
-    return entry
+        run.registries.setdefault(domain, _Registry(domain, pos, []))
+        entry = reg.ext[var] = (domain, extend, [])
+    domain, extend, numbers = entry
+    child, values, rows = run.registries[domain], range(run.structure.size), reg.rows
+
+    def numbered(mask: int) -> list:
+        for row in rows[len(numbers):mask.bit_length()]:
+            numbers.append(tuple(child.number(extend(row, a)) for a in values))
+        return numbers
+
+    return child, extend, numbered
 
 
-def _opt_compile(run: _Run, node: _Node, reg: _Registry):
-    """The probe of `node`'s table on masks over `reg`, and its miss closure,
-    compiled on first need with its children's.  A miss is counted against
-    the budget, decided by the node's step and stored in the table; callers
-    probe first, so a hit is free."""
-    compiled = node.tables.get(reg.id)
-    if compiled is None:
-        step = _STEPS.get(type(node.formula), _literal_step)(run, node, reg)
-        table, limit = reg.memos[node.id], run.limit
+def _opt_compile(run: _Run, f: Formula, reg: _Registry):
+    """The probe of `f`'s table on masks over `reg`, and its miss closure,
+    compiled with its children's.  A miss is counted against the budget,
+    decided by the subformula's step and stored in the table; callers probe
+    first, so a hit is free."""
+    step = _STEPS.get(type(f), _literal_step)(run, f, reg)
+    table, limit = reg.memos[f], run.limit
 
-        def miss(mask: int) -> bool:
-            run.expansions += 1
-            if run.expansions > limit:
-                raise BudgetExceededError(limit)
-            result = table[mask] = step(mask)
-            return result
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > limit:
+            raise BudgetExceededError(limit)
+        result = table[mask] = step(mask)
+        return result
 
-        compiled = node.tables[reg.id] = (table.get, miss)
-    return compiled
+    return table.get, miss
 
 
-def _dep_step(run: _Run, node: _Node, reg: _Registry):
-    f, st, rows = node.formula, run.structure, reg.rows
+def _dep_step(run: _Run, f: DepAtom, reg: _Registry):
+    st, rows = run.structure, reg.rows
     antecedent, consequent = (_key_reader(t, st, reg.pos) for t in (f.antecedent, f.consequent))
     values: list = []  # (antecedent, consequent) per row, built on first need
 
@@ -461,8 +433,8 @@ def _dep_step(run: _Run, node: _Node, reg: _Registry):
     return step
 
 
-def _literal_step(run: _Run, node: _Node, reg: _Registry):
-    test, rows = _literal_test(node.formula, run.structure, reg.pos), reg.rows
+def _literal_step(run: _Run, f: Formula, reg: _Registry):
+    test, rows = _literal_test(f, run.structure, reg.pos), reg.rows
     ok = done = 0  # the mask of rows that pass the test, how many rows it covers
 
     def step(mask: int) -> bool:
@@ -480,11 +452,11 @@ def _literal_step(run: _Run, node: _Node, reg: _Registry):
 _GRAY = (-1, *((k & -k).bit_length() - 1 for k in range(1, 64)))
 
 
-def _or_step(run: _Run, node: _Node, reg: _Registry):
+def _or_step(run: _Run, f: Or, reg: _Registry):
     # partitions only, in Gray-code order over the rows sorted by value: the
     # six first rows move inside a block, the others between blocks
-    left_get, left_miss = _opt_compile(run, node.left, reg)
-    right_get, right_miss = _opt_compile(run, node.right, reg)
+    left_get, left_miss = _opt_compile(run, f.left, reg)
+    right_get, right_miss = _opt_compile(run, f.right, reg)
 
     def step(mask: int) -> bool:
         moves = [1 << i for i in _bits_by_row(reg, mask)]
@@ -507,9 +479,9 @@ def _or_step(run: _Run, node: _Node, reg: _Registry):
     return step
 
 
-def _and_step(run: _Run, node: _Node, reg: _Registry):
-    left_get, left_miss = _opt_compile(run, node.left, reg)
-    right_get, right_miss = _opt_compile(run, node.right, reg)
+def _and_step(run: _Run, f: And, reg: _Registry):
+    left_get, left_miss = _opt_compile(run, f.left, reg)
+    right_get, right_miss = _opt_compile(run, f.right, reg)
 
     def step(mask: int) -> bool:
         held = left_get(mask)
@@ -521,15 +493,14 @@ def _and_step(run: _Run, node: _Node, reg: _Registry):
     return step
 
 
-def _exists_step(run: _Run, node: _Node, reg: _Registry):
+def _exists_step(run: _Run, f: Exists, reg: _Registry):
     # singleton-valued supplementing functions only; two rows may extend to
     # the same child row, so a child mask is the OR of the chosen bits
-    var = node.formula.var
-    child, _, numbers = _extension_table(run, reg, var, 0)
-    body_get, body_miss = _opt_compile(run, node.left, child)
+    child, _, numbered = _extension_table(run, reg, f.var)
+    body_get, body_miss = _opt_compile(run, f.body, child)
 
     def step(mask: int) -> bool:
-        _extension_table(run, reg, var, mask)
+        numbers = numbered(mask)
         choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
         *others, last = choices or [[0]]  # the empty team extends to the empty team
         for prefix in itertools.product(*others):  # the last row varies fastest
@@ -542,13 +513,12 @@ def _exists_step(run: _Run, node: _Node, reg: _Registry):
     return step
 
 
-def _forall_step(run: _Run, node: _Node, reg: _Registry):
-    var = node.formula.var
-    child, _, numbers = _extension_table(run, reg, var, 0)
-    body_get, body_miss = _opt_compile(run, node.left, child)
+def _forall_step(run: _Run, f: Forall, reg: _Registry):
+    child, _, numbered = _extension_table(run, reg, f.var)
+    body_get, body_miss = _opt_compile(run, f.body, child)
 
     def step(mask: int) -> bool:
-        _extension_table(run, reg, var, mask)
+        numbers = numbered(mask)
         child_mask = _mask_of((j for i in _bits(mask) for j in numbers[i]), len(child.rows))
         held = body_get(child_mask)
         return held or held is None and body_miss(child_mask)
@@ -556,7 +526,7 @@ def _forall_step(run: _Run, node: _Node, reg: _Registry):
     return step
 
 
-# node kind -> its step compiler, from (run, node, registry) to step(mask)
+# formula kind -> its step compiler, from (run, subformula, registry) to step(mask)
 _STEPS = {
     Or: _or_step, And: _and_step, Exists: _exists_step, Forall: _forall_step, DepAtom: _dep_step
 }
@@ -564,42 +534,47 @@ _STEPS = {
 
 # --- classical engine ----------------------------------------------------------
 #
-# Rows take the registries' layouts and extenders but are never numbered; the
+# Rows take the registries' layouts and extenders but are never numbered; a
 # memo is keyed by values, not positions, so one memo serves every registry.
 
-def _fo(run: _Run, node: _Node, reg: _Registry, row: tuple) -> bool:
-    table = node.tables.get(reg.id)
-    if table is None:
-        table = node.tables[reg.id] = _fo_compile(run, node, reg)
-    free, test = table
-    key = (node.id, free(row))
-    result = run.memo.get(key)
-    if result is None:
-        run.tick()
-        result = run.memo[key] = test(row)
-    return result
+def _fo_compile(run: _Run, f: Formula, reg: _Registry):
+    """The free variables of `f`, sorted, and its memoized predicate on rows
+    of `reg`: a probe of `f`'s memo under the row's values of those
+    variables, which evaluates the row on a miss."""
+    st = run.structure
+    if isinstance(f, (And, Or)):
+        left_free, left = _fo_compile(run, f.left, reg)
+        right_free, right = _fo_compile(run, f.right, reg)
+        free = {*left_free, *right_free}
+        if isinstance(f, And):
+            test = lambda row: left(row) and right(row)
+        else:
+            test = lambda row: left(row) or right(row)
+    elif isinstance(f, (Exists, Forall)):
+        child, extend, _ = _extension_table(run, reg, f.var)  # numbers no rows
+        body_free, body = _fo_compile(run, f.body, child)
+        free = set(body_free) - {f.var}
+        values, wanted = range(st.size), isinstance(f, Exists)
 
+        def test(row):  # a plain loop: no generator frame per quantifier level
+            for a in values:
+                if body(extend(row, a)) is wanted:
+                    return wanted
+            return not wanted
+    else:
+        free, test = free_variables(f), _literal_test(f, st, reg.pos)
+    free = tuple(sorted(free))
+    key, memo = _key_reader([*map(Var, free)], st, reg.pos), run.memo.setdefault(f, {})
 
-def _fo_compile(run: _Run, node: _Node, reg: _Registry):
-    """The node's memo-key reader on rows of `reg`, and its row predicate."""
-    f, left, right, st = node.formula, node.left, node.right, run.structure
-    free = _tuple_reader([*map(Var, node.free)], st, reg.pos)
-    if isinstance(f, And):
-        return free, lambda row: _fo(run, left, reg, row) and _fo(run, right, reg, row)
-    if isinstance(f, Or):
-        return free, lambda row: _fo(run, left, reg, row) or _fo(run, right, reg, row)
-    if not isinstance(f, (Exists, Forall)):
-        return free, _literal_test(f, st, reg.pos)
-    child, extend, _ = _extension_table(run, reg, f.var, 0)  # numbers no rows
-    values, wanted = range(st.size), isinstance(f, Exists)
+    def probe(row) -> bool:
+        k = key(row)
+        result = memo.get(k)
+        if result is None:
+            run.tick()
+            result = memo[k] = test(row)
+        return result
 
-    def test(row):  # a plain loop: no generator frame per quantifier level
-        for a in values:
-            if _fo(run, left, child, extend(row, a)) is wanted:
-                return wanted
-        return not wanted
-
-    return free, test
+    return free, probe
 
 
 # --- entry points ------------------------------------------------------------------
@@ -617,8 +592,8 @@ def run_check(
     (extra team variables are fine), and every symbol of the formula must
     be interpreted by the structure.
     """
-    nodes = _compile(structure, team, formula)
-    has_dep = any(isinstance(node.formula, DepAtom) for node in nodes)
+    _validate(structure, team, formula)
+    has_dep = has_dependence_atoms(formula)
     # `auto` evaluates classically only dependence-free formulas (constancy
     # atoms still need a team engine)
     if engine is Engine.AUTO:
@@ -628,14 +603,15 @@ def run_check(
 
     run = _Run(structure, budget)
     pos = {v: i for i, v in enumerate(team.domain)}
-    root = run.registries[team.domain] = _Registry(0, team.domain, pos, list(team.rows))
+    root = run.registries[team.domain] = _Registry(team.domain, pos, list(team.rows))
     if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
-        _, miss = _opt_compile(run, nodes[-1], root)
+        _, miss = _opt_compile(run, formula, root)
         satisfied = miss(root.full())
     else:
-        satisfied = all(_fo(run, nodes[-1], root, row) for row in team.sorted_rows())
+        _, probe = _fo_compile(run, formula, root)
+        satisfied = all(map(probe, team.sorted_rows()))
     return CheckOutcome(satisfied, engine, run.expansions)
 
 
@@ -664,7 +640,7 @@ def find_dep_violation(
     structure: Structure, team: Team, atom: DepAtom
 ) -> tuple[Assignment, Assignment] | None:
     """First pair of rows (in canonical order) violating a dependence atom."""
-    _compile(structure, team, atom)
+    _validate(structure, team, atom)
     pos = {v: i for i, v in enumerate(team.domain)}
     antecedent = _key_reader(atom.antecedent, structure, pos)
     consequent = _key_reader(atom.consequent, structure, pos)

@@ -236,14 +236,16 @@ class _PDLParser(_Parser):
 
     `_Parser` reads connectives, parentheses and dependence atoms, and no
     quantifiers.  Overridden: `term` reads a bare proposition as a variable;
-    `relatom` and `atom` make a (negated) ``TRUE`` test of it.
+    `relatom` and `atom` make a (negated) ``TRUE`` test of it.  A
+    proposition named ``TRUE`` is rejected: ``TRUE(TRUE)`` would not read
+    back under ``{TRUE/1}``.
     """
 
     QUANTIFIERS = {}
 
     def term(self) -> Var:
         tok, pos = self._next()
-        if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
+        if not _IDENT.fullmatch(tok) or tok in KEYWORDS or tok == "TRUE":
             raise FormulaSyntaxError(f"expected a proposition, found {tok!r}", pos)
         return Var(tok)
 

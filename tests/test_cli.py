@@ -365,6 +365,11 @@ def test_reduce_bad_input_exits_two(tmp_path, capsys):
     bad = write(tmp_path / "bad.cnf", "p cnf 2 1\n1 2 0\n")
     rc = run_cli("reduce", "3sat", bad, str(tmp_path / "x"))
     assert rc == 2
+    # a proposition named TRUE has two readings under {TRUE/1}
+    bad = write(tmp_path / "bad.pdl", "p & =(q;TRUE)\n")
+    capsys.readouterr()
+    assert run_cli("reduce", "pdl", bad, str(tmp_path / "x")) == 2
+    assert "found 'TRUE' (at position 8)" in capsys.readouterr().err
 
 
 # --- bench ---------------------------------------------------------------------

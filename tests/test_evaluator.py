@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import gc
 import hashlib
 import itertools
 import random
@@ -29,6 +30,7 @@ from teamcheck import (
     parse_formula,
     run_check,
 )
+from teamcheck.syntax import subformulas
 
 from brute import dep_violation_pairwise
 from depgen import random_instance, random_structure, random_team, random_term
@@ -485,8 +487,8 @@ def test_optimized_existential_pinned_with_budget_boundary(rows, satisfied, expa
 
 
 def _conjoined_with_itself(instance):
-    # a satisfied conjunct is probed twice as one interned node: the second
-    # probe is a hit
+    # a satisfied conjunct is probed twice in one table: the second probe is
+    # a hit
     structure, team, formula = instance
     return structure, team, And(formula, formula)
 
@@ -535,11 +537,43 @@ def test_optimized_memo_holds_one_entry_per_expansion(runs, case):
 def test_fo_tarski_memo_holds_one_entry_per_expansion(
     runs, team_domain, text, satisfied, expansions
 ):
-    # fo_tarski keeps one memo for all registries, and no mask tables
+    # fo_tarski keeps one memo per subformula for all registries, and no
+    # mask tables
     outcome = _fo_on_triangle(team_domain, text)
     (run,) = runs
-    assert len(run.memo) == outcome.expansions == expansions
+    assert sum(map(len, run.memo.values())) == outcome.expansions == expansions
     assert all(not reg.memos for reg in run.registries.values())
+
+
+def test_optimized_equal_subformulas_share_one_table(runs, pair):
+    team = Team(("x", "y", "u", "v"), frozenset({(0, 1, 0, 1)}))
+    formula = fparse("=(x;y) | =(u;v) | =(u;v)", pair)
+    run_check(pair, team, formula, Engine.OPTIMIZED)
+    (run,) = runs
+    occurrences = list(subformulas(formula))
+    assert len(occurrences) == 5
+    memos = run.registries[team.domain].memos
+    assert set(memos) == set(occurrences) and len(memos) == 4
+
+
+@pytest.mark.parametrize("engine", [Engine.OPTIMIZED, Engine.FO_TARSKI, Engine.NAIVE])
+@pytest.mark.parametrize(
+    "text",
+    ["exists z (E(x,z) | forall w R(w))", "exists x (E(x,y) | forall y R(y))"],
+    ids=["fresh", "rebinding"],
+)
+def test_runs_leave_no_reference_cycles(pair, engine, text):
+    # a run's registries, tables and closures are freed when `run_check`
+    # returns, without the cyclic collector, also where a quantifier
+    # rebinds a team variable and so quantifies over its own registry
+    team = Team(("x", "y"), frozenset({(0, 1), (1, 1)}))
+    gc.collect()
+    gc.disable()
+    try:
+        run_check(pair, team, fparse(text, pair), engine)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _exits_three(tmp_path, structure, team, formula, engine, budget):
@@ -574,7 +608,7 @@ _KIND_BOUNDARIES = [
 def test_optimized_budget_boundary_per_node_kind(
     runs, tmp_path, kind, team_domain, text, satisfied, expansions
 ):
-    from teamcheck.evaluator import _compile
+    from teamcheck import formula_size
 
     structure, team, formula = _on_triangle(team_domain, text)
     outcome = run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions)
@@ -583,15 +617,15 @@ def test_optimized_budget_boundary_per_node_kind(
         run_check(structure, team, formula, Engine.OPTIMIZED, budget=expansions - 1)
     assert info.value.expansions == expansions
     # the misses left unstored are the tripping one and the misses that
-    # wait on it; each is a child of the one before, and a child is
-    # interned before its parent
+    # wait on it; each is a child of the one before, so the tripping one is
+    # on the smallest subformula
     stored = [
-        {(reg.domain, node_id, mask) for reg in run.registries.values()
-         for node_id, table in reg.memos.items() for mask in table}
+        {(reg.domain, f, mask) for reg in run.registries.values()
+         for f, table in reg.memos.items() for mask in table}
         for run in runs
     ]
-    tripped = min(node_id for _, node_id, _ in stored[0] - stored[1])
-    assert type(_compile(structure, team, formula)[tripped].formula) is kind
+    tripped = min((f for _, f, _ in stored[0] - stored[1]), key=formula_size)
+    assert type(tripped) is kind
     assert _exits_three(tmp_path, structure, team, formula, "opt", expansions - 1)
 
 
@@ -629,20 +663,55 @@ def test_optimized_search_order_pinned(runs, case):
     # each table's insertion order is the order of its misses; subformulas
     # and registries are named by text and domain, not by their numbers
     from teamcheck import pretty
-    from teamcheck.evaluator import _compile
 
     structure, team, formula = _MEMO_CASES[case]
     run_check(structure, team, formula, Engine.OPTIMIZED)
     (run,) = runs
-    nodes = _compile(structure, team, formula)
     records = sorted(
-        (pretty(nodes[node_id].formula), reg.domain, tuple(table.items()))
+        (pretty(f), reg.domain, tuple(table.items()))
         for reg in run.registries.values()
-        for node_id, table in reg.memos.items()
+        for f, table in reg.memos.items()
         if table
     )
     digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
     assert (len(records), digest) == _MEMO_ORDER[case]
+
+
+def _outcome_record(structure, team, formula, engine, budget):
+    try:
+        outcome = run_check(structure, team, formula, engine, budget)
+    except BudgetExceededError as error:
+        return "budget", error.budget, error.expansions
+    except ValueError as error:
+        return "error", str(error)
+    return outcome.satisfied, outcome.engine.value, outcome.expansions
+
+
+def _outcome_cases():
+    for seed in range(3000):
+        yield random_instance(random.Random(seed))
+    # the input checks: an uninterpreted relation, a wrong arity, a missing
+    # free variable
+    structure = Structure(["a", "b"], relations={"E": (2, [("a", "b")])})
+    team = Team(("x",), frozenset({(0,), (1,)}))
+    for text, relations in (("Q(x)", {"Q": 1}), ("E(x)", {"E": 1}), ("E(x,y)", {"E": 2})):
+        yield structure, team, parse_formula(text, Vocabulary(relations=relations))
+
+
+def test_outcomes_pinned_on_random_instances():
+    # the answer, engine and expansions, or the budget error or message, of
+    # every engine choice with and without a budget; a refactor of the
+    # engines must keep every one
+    engines = (Engine.OPTIMIZED, Engine.FO_TARSKI, Engine.AUTO)
+    records = [
+        _outcome_record(*case, engine, budget)
+        for case in _outcome_cases()
+        for engine in engines
+        for budget in (None, 7)
+    ]
+    assert len(records) == 3003 * 6
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "99d8ed5f89ff01ba"
 
 
 def test_existential_collisions_agree_with_naive():

@@ -198,6 +198,9 @@ def test_parse_pdl_rejects_quantifiers_and_equality():
         ("=(p;)", "expected a proposition, found ')' (at position 4)"),
         ("=(p q)", "expected ';', found 'q' (at position 4)"),
         ("", "unexpected end of input (at position 0)"),
+        # `TRUE(TRUE)` would not read back under {TRUE/1}
+        ("TRUE & =(TRUE;p)", "expected a proposition, found 'TRUE' (at position 0)"),
+        ("p & =(q;TRUE)", "expected a proposition, found 'TRUE' (at position 8)"),
     ):
         with pytest.raises(FormulaSyntaxError, match=f"^{re.escape(message)}$"):
             parse_pdl(text)
@@ -217,6 +220,7 @@ def test_pdl_round_trip_and_proposition_order():
             r"=\([^)]*\)|([A-Za-z_]\w*)", lambda m: f"TRUE({m[1]})" if m[1] else m[0], text
         )
         assert parse_pdl(text) == parse_formula(fo_text, vocab)
+        assert parse_formula(pretty(f), vocab) == f
 
 
 def test_pdl_functions_reject_formulas_outside_pdl():
