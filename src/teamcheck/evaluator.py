@@ -16,8 +16,10 @@ Three engines decide whether a structure and a team satisfy a formula:
   subteam is an int mask over its domain's registry, and each registry
   keeps one memo table per subformula, keyed by the bare mask.  Each
   subformula occurrence is compiled once, before the search, into a
-  probe of its table and a miss closure on masks; a step probes its
-  children's tables inline and calls a child's miss only on a miss.
+  probe of its table and a step on masks, which counts the miss,
+  decides the mask and stores the result: one Python frame per miss.  A
+  step probes its children's tables inline and calls a child's step only
+  on a miss.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness), with rows
   laid out and extended by ``optimized``'s registries.  It keeps one memo
@@ -290,8 +292,8 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 # registry, which numbers the rows met over that domain in order of first
 # appearance; the root registry is the team's rows.  Each registry keeps one
 # memo table per subformula, keyed by the bare mask.  A subformula
-# occurrence's step is compiled into a closure over its readers and its
-# children's probes and misses.
+# occurrence's step is compiled into a closure over its table, its readers
+# and its children's probes and steps; it is the whole miss.
 
 
 class _Registry:
@@ -394,29 +396,23 @@ def _extension_table(run: _Run, reg: _Registry, var: str):
 
 
 def _opt_compile(run: _Run, f: Formula, reg: _Registry):
-    """The probe of `f`'s table on masks over `reg`, and its miss closure,
-    compiled with its children's.  A miss is counted against the budget,
-    decided by the subformula's step and stored in the table; callers probe
-    first, so a hit is free."""
-    step = _STEPS.get(type(f), _literal_step)(run, f, reg)
-    table, limit = reg.memos[f], run.limit
-
-    def miss(mask: int) -> bool:
-        run.expansions += 1
-        if run.expansions > limit:
-            raise BudgetExceededError(limit)
-        result = table[mask] = step(mask)
-        return result
-
-    return table.get, miss
+    """The probe of `f`'s table on masks over `reg`, and `f`'s step,
+    compiled with its children's.  The step is the miss: it counts itself
+    against the budget, decides the mask and stores the result in the
+    table.  Callers probe first, so a hit is free."""
+    table = reg.memos[f]
+    return table.get, _STEPS.get(type(f), _literal_step)(run, f, reg, table)
 
 
-def _dep_step(run: _Run, f: DepAtom, reg: _Registry):
+def _dep_step(run: _Run, f: DepAtom, reg: _Registry, table: dict):
     st, rows = run.structure, reg.rows
     antecedent, consequent = (_key_reader(t, st, reg.pos) for t in (f.antecedent, f.consequent))
     values: list = []  # (antecedent, consequent) per row, built on first need
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         if mask == reg.full():  # the whole registry: no per-row values needed
             pairs = zip(map(antecedent, rows), map(consequent, rows))
         else:
@@ -427,24 +423,30 @@ def _dep_step(run: _Run, f: DepAtom, reg: _Registry):
         first: dict = {}
         for a, c in pairs:
             if first.setdefault(a, c) != c:
+                table[mask] = False
                 return False
+        table[mask] = True
         return True
 
-    return step
+    return miss
 
 
-def _literal_step(run: _Run, f: Formula, reg: _Registry):
+def _literal_step(run: _Run, f: Formula, reg: _Registry, table: dict):
     test, rows = _literal_test(f, run.structure, reg.pos), reg.rows
     ok = done = 0  # the mask of rows that pass the test, how many rows it covers
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
         nonlocal ok, done
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         if done < len(rows):  # the registry grew
             ok |= _mask_of((i for i in range(done, len(rows)) if test(rows[i])), len(rows))
             done = len(rows)
-        return mask & ok == mask
+        result = table[mask] = mask & ok == mask
+        return result
 
-    return step
+    return miss
 
 
 # the moves of a 6-bit block of a Gray code: step k moves the bit of k's
@@ -452,13 +454,16 @@ def _literal_step(run: _Run, f: Formula, reg: _Registry):
 _GRAY = (-1, *((k & -k).bit_length() - 1 for k in range(1, 64)))
 
 
-def _or_step(run: _Run, f: Or, reg: _Registry):
+def _or_step(run: _Run, f: Or, reg: _Registry, table: dict):
     # partitions only, in Gray-code order over the rows sorted by value: the
     # six first rows move inside a block, the others between blocks
     left_get, left_miss = _opt_compile(run, f.left, reg)
     right_get, right_miss = _opt_compile(run, f.right, reg)
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         moves = [1 << i for i in _bits_by_row(reg, mask)]
         low, high = [*moves[:6], 0], moves[6:]  # low[-1]: the move into the block
         toggles = _GRAY[:1 << (len(low) - 1)]
@@ -473,33 +478,43 @@ def _or_step(run: _Run, f: Or, reg: _Registry):
                     right = mask ^ left
                     held = right_get(right)
                     if held or held is None and right_miss(right):
+                        table[mask] = True
                         return True
+        table[mask] = False
         return False
 
-    return step
+    return miss
 
 
-def _and_step(run: _Run, f: And, reg: _Registry):
+def _and_step(run: _Run, f: And, reg: _Registry, table: dict):
     left_get, left_miss = _opt_compile(run, f.left, reg)
     right_get, right_miss = _opt_compile(run, f.right, reg)
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         held = left_get(mask)
         if held or held is None and left_miss(mask):
             held = right_get(mask)
-            return held or held is None and right_miss(mask)
+            held = table[mask] = held or held is None and right_miss(mask)
+            return held
+        table[mask] = False
         return False
 
-    return step
+    return miss
 
 
-def _exists_step(run: _Run, f: Exists, reg: _Registry):
+def _exists_step(run: _Run, f: Exists, reg: _Registry, table: dict):
     # singleton-valued supplementing functions only; two rows may extend to
     # the same child row, so a child mask is the OR of the chosen bits
     child, _, numbered = _extension_table(run, reg, f.var)
     body_get, body_miss = _opt_compile(run, f.body, child)
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         numbers = numbered(mask)
         choices = [[1 << j for j in numbers[i]] for i in _bits_by_row(reg, mask)]
         *others, last = choices or [[0]]  # the empty team extends to the empty team
@@ -507,26 +522,33 @@ def _exists_step(run: _Run, f: Exists, reg: _Registry):
             for child_mask in map(or_, last, itertools.repeat(reduce(or_, prefix, 0))):
                 held = body_get(child_mask)
                 if held or held is None and body_miss(child_mask):
+                    table[mask] = True
                     return True
+        table[mask] = False
         return False
 
-    return step
+    return miss
 
 
-def _forall_step(run: _Run, f: Forall, reg: _Registry):
+def _forall_step(run: _Run, f: Forall, reg: _Registry, table: dict):
     child, _, numbered = _extension_table(run, reg, f.var)
     body_get, body_miss = _opt_compile(run, f.body, child)
 
-    def step(mask: int) -> bool:
+    def miss(mask: int) -> bool:
+        run.expansions += 1
+        if run.expansions > run.limit:
+            raise BudgetExceededError(run.limit)
         numbers = numbered(mask)
         child_mask = _mask_of((j for i in _bits(mask) for j in numbers[i]), len(child.rows))
         held = body_get(child_mask)
-        return held or held is None and body_miss(child_mask)
+        held = table[mask] = held or held is None and body_miss(child_mask)
+        return held
 
-    return step
+    return miss
 
 
-# formula kind -> its step compiler, from (run, subformula, registry) to step(mask)
+# formula kind -> its step compiler, from (run, subformula, registry, table) to
+# the step on masks
 _STEPS = {
     Or: _or_step, And: _and_step, Exists: _exists_step, Forall: _forall_step, DepAtom: _dep_step
 }
@@ -570,7 +592,9 @@ def _fo_compile(run: _Run, f: Formula, reg: _Registry):
         k = key(row)
         result = memo.get(k)
         if result is None:
-            run.tick()
+            run.expansions += 1  # inline, as in `opt`'s steps: no frame per miss
+            if run.expansions > run.limit:
+                raise BudgetExceededError(run.limit)
             result = memo[k] = test(row)
         return result
 

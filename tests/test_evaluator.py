@@ -5,6 +5,8 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
+import types
 
 import pytest
 
@@ -531,6 +533,37 @@ def test_optimized_memo_holds_one_entry_per_expansion(runs, case):
     tables = [table for reg in run.registries.values() for table in reg.memos.values()]
     assert sum(map(len, tables)) == outcome.expansions > 0
     assert run.memo == {}
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(_MEMO_CASES)),
+    ids=["3sat-9", "3sat-12", "skolem-unsat", "skolem-sat-twice", "133", "700", "738", "2961"],
+)
+def test_optimized_one_frame_per_expansion(case):
+    # a miss is one call of its subformula's compiled closure, with no
+    # wrapper frame around it; closures are the named functions defined in
+    # `_opt_compile` and the step compilers (not their generator expressions)
+    from teamcheck import evaluator
+
+    compilers = {*evaluator._STEPS.values(), evaluator._literal_step, evaluator._opt_compile}
+    closures = {
+        code for compiler in compilers for code in compiler.__code__.co_consts
+        if isinstance(code, types.CodeType) and not code.co_name.startswith("<")
+    }
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in closures:
+            calls[frame.f_code] += 1
+
+    structure, team, formula = _MEMO_CASES[case]
+    sys.setprofile(profile)
+    try:
+        outcome = run_check(structure, team, formula, Engine.OPTIMIZED)
+    finally:
+        sys.setprofile(None)
+    assert sum(calls.values()) == outcome.expansions > 0
 
 
 @pytest.mark.parametrize("team_domain,text,satisfied,expansions", _FO_PINNED)
