@@ -54,7 +54,7 @@ import sys
 from collections import defaultdict
 from enum import Enum
 from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter, ne, or_
 
 from .model import Assignment, Structure, Team, _extension
 from .syntax import (
@@ -319,9 +319,6 @@ class _Registry:
             self.rows.append(row)
         return i
 
-    def full(self) -> int:
-        return (1 << len(self.rows)) - 1
-
 
 def _byte_table(k: int) -> list[tuple[int, ...]]:
     """Entry b: the positions of the set bits of byte value b at byte k of a
@@ -413,7 +410,7 @@ def _dep_step(run: _Run, f: DepAtom, reg: _Registry, table: dict):
         run.expansions += 1
         if run.expansions > run.limit:
             raise BudgetExceededError(run.limit)
-        if mask == reg.full():  # the whole registry: no per-row values needed
+        if mask + 1 == 1 << len(rows):  # the whole registry: no per-row values needed
             pairs = zip(map(antecedent, rows), map(consequent, rows))
         else:
             if len(values) < len(rows):  # the registry grew
@@ -632,7 +629,7 @@ def run_check(
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
         _, miss = _opt_compile(run, formula, root)
-        satisfied = miss(root.full())
+        satisfied = miss((1 << len(root.rows)) - 1)
     else:
         _, probe = _fo_compile(run, formula, root)
         satisfied = all(map(probe, team.sorted_rows()))
@@ -671,15 +668,13 @@ def find_dep_violation(
     # `_dep_step`'s grouping rule names the violated antecedent groups; the
     # pair is the least row of those groups and the least row of its group
     # whose consequent differs from it
-    first: dict = {}
     rows = team.rows
-    violated = {
-        a for a, c in zip(map(antecedent, rows), map(consequent, rows))
-        if first.setdefault(a, c) != c
-    }
+    keys, values = list(map(antecedent, rows)), list(map(consequent, rows))
+    first: dict = {}
+    violated = set(itertools.compress(keys, map(ne, map(first.setdefault, keys, values), values)))
     if not violated:
         return None
-    suspects = [row for row in rows if antecedent(row) in violated]
+    suspects = list(itertools.compress(rows, map(violated.__contains__, keys)))
     row1 = min(suspects)
     a1, c1 = antecedent(row1), consequent(row1)
     row2 = min(row for row in suspects if antecedent(row) == a1 and consequent(row) != c1)

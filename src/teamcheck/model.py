@@ -275,6 +275,7 @@ _DECL = re.compile(r"(relation|function)\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\
 _GROUP = re.compile(r"\(([^()]*)\)")
 _FUNC_ENTRY = re.compile(r"(\(([^()]*)\)|[^\s()]+?)\s*->\s*([^\s()]+)")
 _CONSTANT = re.compile(r"constant\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*$")
+_BLOCK = 256  # lines parse_team splits at a time: 64 is as fast, 4,096 is slower
 
 
 # a comment: from '#' up to the next line break that str.splitlines knows.
@@ -395,10 +396,10 @@ def parse_team(text: str, structure: Structure) -> Team:
     variable domain, over which a lone ``-`` row denotes the empty
     assignment: this is how the one-row team over no variables is written.
 
-    One substitution cuts the comments, and C-level iterators split lines
-    and map values to indices, with no Python code per row.  A text with a
-    ragged row or an element outside the universe is read again line by
-    line, to name its first bad row in file order.
+    One substitution cuts the comments, and C-level iterators split each
+    line once, ``_BLOCK`` lines at a time, with no Python code per row.  A
+    text with a ragged row or an element outside the universe is read again
+    line by line, to name its first bad row in file order.
     """
     if "#" in text:
         text = re.sub(_COMMENT, " ", text)
@@ -414,14 +415,18 @@ def parse_team(text: str, structure: Structure) -> Team:
         kinds = set(map(str.strip, islice(lines, header + 1, None)))
         if kinds <= {"", "-"}:
             return Team((), frozenset({()} if "-" in kinds else ()))
-    elif set(map(len, map(str.split, islice(lines, header + 1, None)))) <= {0, width}:
-        # every row has `width` values, so zip builds each row whole and the
-        # rows need no second width check; the lines are split again lazily,
-        # as one split of the whole text would hold every value at once
-        tokens = chain.from_iterable(map(str.split, islice(lines, header + 1, None)))
-        values = map(structure._index.__getitem__, tokens)
-        with suppress(KeyError):
-            return new_value(Team, (Team, domain, frozenset(zip(*[values] * width))))
+    else:
+        def block_rows(start: int):  # the rows of one block, with one split per line
+            block = list(map(str.split, lines[start:start + _BLOCK]))
+            if not set(map(len, block)) <= {0, width}:
+                raise ValueError  # a ragged row
+            return zip(*[map(structure._index.__getitem__, chain.from_iterable(block))] * width)
+
+        # each row is built whole at `width`, so new_value skips Team's width
+        # check; only one block's value strings are alive at a time
+        blocks = map(block_rows, range(header + 1, len(lines), _BLOCK))
+        with suppress(KeyError, ValueError):  # KeyError: an element outside the universe
+            return new_value(Team, (Team, domain, frozenset(chain.from_iterable(blocks))))
     # Only a bad text gets here: raise at its first ragged row or unknown element.
     for lineno, line in islice(_content_lines(text), 1, None):
         row = () if not domain and line == "-" else line.split()

@@ -518,3 +518,39 @@ def test_bulk_team_loader_reads_without_the_line_by_line_path(monkeypatch):
     for bad_row in ("e000 e001", "e000 e001 zz"):
         with pytest.raises(AssertionError, match="read the text line by line"):
             parse_team(commented + bad_row + "\n", structure)
+
+
+# The bulk loader splits the body model._BLOCK lines at a time, from the line
+# after the header.  Each of these lines goes on the last line of one block
+# and on the first line of the next; the last two must leave the bulk path.
+BOUNDARY_LINES = {
+    "comment-only line": ("  # a note", True),
+    "blank line": (" \t", True),
+    "ragged row": ("e1 e2", False),
+    "unknown element": ("e1 zz e2", False),
+}
+BLOCK = model._BLOCK
+
+
+@pytest.mark.parametrize("body", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_bulk_team_loader_block_boundaries(body, monkeypatch):
+    structure = Structure([f"e{i}" for i in range(9)])
+    rng = random.Random(body)
+    rows = [" ".join(f"e{rng.randrange(9)}" for _ in range(3)) for _ in range(body)]
+    places = {BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, body - 1} & set(range(body))
+    cases = [(rows, True)]
+    for special, valid in BOUNDARY_LINES.values():
+        cases += [(rows[:at] + [special] + rows[at + 1:], valid) for at in sorted(places)]
+    if body > BLOCK:  # a bad row on each side of a boundary: the first is named
+        for pair in (["e1 e2", "e1 zz e2"], ["e1 zz e2", "e1 e2"]):
+            cases.append((rows[:BLOCK - 1] + pair + rows[BLOCK + 1:], False))
+    for header in ("x y z\n", "# exported\n\nx y z # the variables\n"):
+        for lines, valid in cases:
+            text = header + "\n".join(lines) + "\n"
+            expected = team_file_by_lines(text, structure)
+            assert isinstance(expected, Team) == valid, expected
+            assert _team_or_error(text, structure) == expected
+            if valid:
+                with monkeypatch.context() as patch:
+                    patch.setattr(model, "_content_lines", _refuse_line_by_line)
+                    assert parse_team(text, structure) == expected
