@@ -22,9 +22,9 @@ Three engines decide whether a structure and a team satisfy a formula:
   on a miss.
 - ``fo_tarski`` handles dependence-atom-free formulas by classical
   per-assignment evaluation and row-wise conjunction (flatness), with rows
-  laid out and extended by ``optimized``'s registries.  It keeps one memo
-  per subformula for all registries, keyed by the values of the
-  subformula's free variables, so its work is at most
+  laid out and extended as ``naive`` does them, by ``model._extension``.
+  It keeps one memo per subformula for all variable domains, keyed by the
+  values of the subformula's free variables, so its work is at most
   |formula| * |A|^(number of variables).
 
 Equal subformulas share their tables, since the tables are found by the
@@ -110,7 +110,7 @@ class _Run:
         self.limit = sys.maxsize if budget is None else budget  # the most expansions allowed
         self.expansions = 0
         self.memo: dict = {}  # subformula -> {free values: result}, fo_tarski only
-        self.registries: dict = {}  # domain -> _Registry, optimized and fo_tarski
+        self.registries: dict = {}  # domain -> _Registry, optimized only
 
     def tick(self) -> None:
         self.expansions += 1
@@ -370,9 +370,9 @@ def _mask_of(numbers, width: int) -> int:
 
 
 def _extension_table(run: _Run, reg: _Registry, var: str):
-    """The registry for quantifying `var` over rows of `reg`, the row
-    extender, and a function from a mask to the child row numbers per value
-    of each row of `reg`, numbered up to the mask's highest bit.
+    """The registry for quantifying `var` over rows of `reg`, and a
+    function from a mask to the child row numbers per value of each row of
+    `reg`, numbered up to the mask's highest bit.
 
     `reg.ext` keeps the child's domain, not the child: where `var` is in
     `reg`'s domain the child is `reg` itself."""
@@ -389,7 +389,7 @@ def _extension_table(run: _Run, reg: _Registry, var: str):
             numbers.append(tuple(child.number(extend(row, a)) for a in values))
         return numbers
 
-    return child, extend, numbered
+    return child, numbered
 
 
 def _opt_compile(run: _Run, f: Formula, reg: _Registry):
@@ -505,7 +505,7 @@ def _and_step(run: _Run, f: And, reg: _Registry, table: dict):
 def _exists_step(run: _Run, f: Exists, reg: _Registry, table: dict):
     # singleton-valued supplementing functions only; two rows may extend to
     # the same child row, so a child mask is the OR of the chosen bits
-    child, _, numbered = _extension_table(run, reg, f.var)
+    child, numbered = _extension_table(run, reg, f.var)
     body_get, body_miss = _opt_compile(run, f.body, child)
 
     def miss(mask: int) -> bool:
@@ -528,7 +528,7 @@ def _exists_step(run: _Run, f: Exists, reg: _Registry, table: dict):
 
 
 def _forall_step(run: _Run, f: Forall, reg: _Registry, table: dict):
-    child, _, numbered = _extension_table(run, reg, f.var)
+    child, numbered = _extension_table(run, reg, f.var)
     body_get, body_miss = _opt_compile(run, f.body, child)
 
     def miss(mask: int) -> bool:
@@ -553,25 +553,25 @@ _STEPS = {
 
 # --- classical engine ----------------------------------------------------------
 #
-# Rows take the registries' layouts and extenders but are never numbered; a
-# memo is keyed by values, not positions, so one memo serves every registry.
+# Rows are laid out and extended by `model._extension`, as in `naive`; a memo
+# is keyed by values, not positions, so one memo serves every domain.
 
-def _fo_compile(run: _Run, f: Formula, reg: _Registry):
+def _fo_compile(run: _Run, f: Formula, domain: tuple, pos: dict):
     """The free variables of `f`, sorted, and its memoized predicate on rows
-    of `reg`: a probe of `f`'s memo under the row's values of those
-    variables, which evaluates the row on a miss."""
+    over `domain` with positions `pos`: a probe of `f`'s memo under the
+    row's values of those variables, which evaluates the row on a miss."""
     st = run.structure
     if isinstance(f, (And, Or)):
-        left_free, left = _fo_compile(run, f.left, reg)
-        right_free, right = _fo_compile(run, f.right, reg)
+        left_free, left = _fo_compile(run, f.left, domain, pos)
+        right_free, right = _fo_compile(run, f.right, domain, pos)
         free = {*left_free, *right_free}
         if isinstance(f, And):
             test = lambda row: left(row) and right(row)
         else:
             test = lambda row: left(row) or right(row)
     elif isinstance(f, (Exists, Forall)):
-        child, extend, _ = _extension_table(run, reg, f.var)  # numbers no rows
-        body_free, body = _fo_compile(run, f.body, child)
+        child_domain, child_pos, extend = _extension(domain, pos, f.var)
+        body_free, body = _fo_compile(run, f.body, child_domain, child_pos)
         free = set(body_free) - {f.var}
         values, wanted = range(st.size), isinstance(f, Exists)
 
@@ -581,9 +581,9 @@ def _fo_compile(run: _Run, f: Formula, reg: _Registry):
                     return wanted
             return not wanted
     else:
-        free, test = free_variables(f), _literal_test(f, st, reg.pos)
+        free, test = free_variables(f), _literal_test(f, st, pos)
     free = tuple(sorted(free))
-    key, memo = _key_reader([*map(Var, free)], st, reg.pos), run.memo.setdefault(f, {})
+    key, memo = _key_reader([*map(Var, free)], st, pos), run.memo.setdefault(f, {})
 
     def probe(row) -> bool:
         k = key(row)
@@ -613,6 +613,7 @@ def run_check(
     (extra team variables are fine), and every symbol of the formula must
     be interpreted by the structure.
     """
+    engine = Engine(engine)  # a member, or its value: "naive", "optimized", ...
     _validate(structure, team, formula)
     has_dep = has_dependence_atoms(formula)
     # `auto` evaluates classically only dependence-free formulas (constancy
@@ -624,14 +625,14 @@ def run_check(
 
     run = _Run(structure, budget)
     pos = {v: i for i, v in enumerate(team.domain)}
-    root = run.registries[team.domain] = _Registry(team.domain, pos, list(team.rows))
     if engine is Engine.NAIVE:
         satisfied = _naive(run, formula, team.domain, pos, team.rows)
     elif engine is Engine.OPTIMIZED:
+        root = run.registries[team.domain] = _Registry(team.domain, pos, list(team.rows))
         _, miss = _opt_compile(run, formula, root)
         satisfied = miss((1 << len(root.rows)) - 1)
     else:
-        _, probe = _fo_compile(run, formula, root)
+        _, probe = _fo_compile(run, formula, team.domain, pos)
         satisfied = all(map(probe, team.sorted_rows()))
     return CheckOutcome(satisfied, engine, run.expansions)
 

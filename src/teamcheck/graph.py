@@ -249,6 +249,17 @@ def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecompositi
 
 # --- validation ----------------------------------------------------------------
 
+def _reachable(neighbors: dict, start, allowed) -> set:
+    """The nodes reachable from `start` along `neighbors` through nodes in `allowed`."""
+    seen, stack = {start}, [start]
+    while stack:
+        for j in neighbors[stack.pop()]:
+            if j in allowed and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> ValidationResult:
     """Check the three decomposition conditions plus tree-ness.
 
@@ -273,14 +284,8 @@ def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> Va
     for i, j in decomposition.tree_edges:
         neighbors[i].add(j)
         neighbors[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in neighbors[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(decomposition.tree_edges) != count - 1 or len(seen) != count:
+    tree = _reachable(neighbors, 0, neighbors)
+    if len(decomposition.tree_edges) != count - 1 or len(tree) != count:
         return ValidationResult(False, "bags and tree edges do not form a tree")
 
     vertex_set = set(graph.vertices)
@@ -300,17 +305,10 @@ def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> Va
             return ValidationResult(False, f"edge ({u!r},{v!r}) is not inside any bag")
 
     for v in graph.vertices:
-        holding = [i for i, bag in enumerate(bags) if v in bag]
-        component = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
-        while stack:
-            for j in neighbors[stack.pop()]:
-                if j in holding_set and j not in component:
-                    component.add(j)
-                    stack.append(j)
-        if component != holding_set:
-            rest = sorted(holding_set - component)
+        holding = {i for i, bag in enumerate(bags) if v in bag}
+        component = _reachable(neighbors, min(holding), holding)
+        if component != holding:
+            rest = sorted(holding - component)
             return ValidationResult(
                 False,
                 f"bags containing {v!r} are disconnected: {sorted(component)} vs {rest}",

@@ -501,3 +501,18 @@ def test_readme_library_example_prints_true(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(code, {})
     assert capsys.readouterr().out == "True\n"
+
+
+def test_benchmark_tracer_names_bind_to_their_layers():
+    # perfbench/spans.py rebinds each traced name on teamcheck.cli; each must
+    # be the layer's own function, imported by name
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for name, metric in spans.TRACED.items():
+        layer = importlib.import_module("teamcheck." + metric.split(".")[0])
+        assert getattr(cli, name) is getattr(layer, name), name

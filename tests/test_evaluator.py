@@ -329,7 +329,7 @@ _FO_PINNED = [
     # `exists y E(x,y)` under the team's x and under `forall x`
     (("x",), "exists y E(x,y) & forall x exists y E(x,y)", True, 12),
     # `exists y E(x,y)` over the rows (x) and, under `forall z`, over the
-    # rows (x, z): one memo serves both registries
+    # rows (x, z): one memo serves both domains
     (("x",), "exists y E(x,y) & forall z (exists y E(x,y) | R(z))", True, 23),
 ]
 
@@ -369,6 +369,30 @@ def test_auto_engine_resolution(pair):
         (one_row, "=(x;y) | =(u;v) | =(u;v)", Engine.OPTIMIZED),
     ):
         assert run_check(pair, team, fparse(text, pair)).engine is expected
+
+
+@pytest.mark.parametrize("text", ["E(x,y) | x = y", "=(x;y)"])
+def test_engine_given_by_value(pair, text):
+    # a member's value names the same engine as the member itself
+    team = Team(("x", "y"), frozenset({(0, 1), (1, 1), (1, 0)}))
+    formula = fparse(text, pair)
+
+    def outcome(engine):
+        try:
+            return run_check(pair, team, formula, engine)
+        except ValueError as error:
+            return str(error)
+
+    for member in Engine:
+        by_member = outcome(member)
+        assert outcome(member.value) == by_member
+        if member is Engine.FO_TARSKI and text == "=(x;y)":
+            assert by_member == "fo_tarski engine requires a dependence-atom-free formula"
+        elif member is not Engine.AUTO:
+            assert by_member.engine is member
+    for name in ("opt", "fo", "bogus"):
+        with pytest.raises(ValueError, match="is not a valid Engine"):
+            run_check(pair, team, formula, name)
 
 
 # --- errors -----------------------------------------------------------------------
@@ -570,12 +594,25 @@ def test_optimized_one_frame_per_expansion(case):
 def test_fo_tarski_memo_holds_one_entry_per_expansion(
     runs, team_domain, text, satisfied, expansions
 ):
-    # fo_tarski keeps one memo per subformula for all registries, and no
-    # mask tables
+    # fo_tarski keeps one memo per subformula for all variable domains, and
+    # no registries
     outcome = _fo_on_triangle(team_domain, text)
     (run,) = runs
     assert sum(map(len, run.memo.values())) == outcome.expansions == expansions
-    assert all(not reg.memos for reg in run.registries.values())
+    assert run.registries == {}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["exists z (E(x,z) | forall w R(w))", "exists x (E(x,y) | forall y R(y))"],
+    ids=["fresh", "rebinding"],
+)
+def test_naive_builds_no_registries(runs, pair, text):
+    # registries are the optimized engine's row numbering alone
+    team = Team(("x", "y"), frozenset({(0, 1), (1, 1)}))
+    run_check(pair, team, fparse(text, pair), Engine.NAIVE)
+    (run,) = runs
+    assert run.registries == {}
 
 
 def test_optimized_equal_subformulas_share_one_table(runs, pair):

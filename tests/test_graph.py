@@ -311,7 +311,7 @@ def test_disconnected_occurrence_is_reported():
         graph, TreeDecomposition(bags, frozenset({(0, 1), (1, 2)}))
     )
     assert not result
-    assert "disconnected" in result.violation
+    assert result.violation == "bags containing 'a' are disconnected: [0] vs [2]"
 
 
 def test_non_tree_edge_sets_are_reported():
@@ -319,6 +319,12 @@ def test_non_tree_edge_sets_are_reported():
     bags = (frozenset({"a", "b"}), frozenset({"a"}))
     cyclic = TreeDecomposition(bags, frozenset())
     assert "tree" in validate_decomposition(graph, cyclic).violation
+    # three edges for four bags, but a triangle with bag 3 left isolated
+    bags = (frozenset({"a", "b"}), frozenset({"a"}), frozenset({"b"}), frozenset())
+    triangle = TreeDecomposition(bags, frozenset({(0, 1), (1, 2), (0, 2)}))
+    result = validate_decomposition(graph, triangle)
+    assert not result
+    assert result.violation == "bags and tree edges do not form a tree"
 
 
 def test_unknown_bag_member_is_reported():
