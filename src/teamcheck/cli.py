@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 import time
 from pathlib import Path
@@ -276,6 +277,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    # No command builds a reference cycle, so the cyclic collector would
+    # free nothing while one runs: pause it, and restore the caller's state.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -289,6 +294,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: formula is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

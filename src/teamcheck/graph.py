@@ -180,42 +180,48 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
         return -1, TreeDecomposition((frozenset(),), frozenset())
 
     full = _index_adjacency(graph)
-    best_width, best_order = _min_fill_order(full)
-    reached: dict[frozenset, int] = {}
+    best = _min_fill_order(full)
+    if _minor_min_width(full) < best[0]:
+        best = _branch(full, -1, [], {}, best)
+    return best[0], _decomposition_from_order(graph, best[1])
 
-    def search(adj: dict[int, set[int]], prefix_width: int, order: list[int]) -> None:
-        nonlocal best_width, best_order
-        if prefix_width >= best_width:
-            return
-        remaining = frozenset(adj)
-        seen = reached.get(remaining)
-        if seen is not None and seen <= prefix_width:
-            return
-        reached[remaining] = prefix_width
-        if len(adj) <= 1:
-            width = max(prefix_width, 0) if adj else prefix_width
-            if width < best_width:
-                best_width = width
-                best_order = order + sorted(adj)
-            return
-        candidates = None
-        for v in sorted(adj):
-            if _fill_count(adj, v) == 0:
-                candidates = [v]
-                break
-        if candidates is None:
-            candidates = sorted(adj)
-        for v in candidates:
-            width = max(prefix_width, len(adj[v]))
-            if width >= best_width:
-                continue
-            reduced = _copy_adj(adj)
-            _eliminate(reduced, v)
-            search(reduced, width, order + [v])
 
-    if _minor_min_width(full) < best_width:
-        search(full, -1, [])
-    return best_width, _decomposition_from_order(graph, best_order)
+def _branch(
+    adj: dict[int, set[int]], prefix_width: int, order: list[int],
+    reached: dict[frozenset, int], best: tuple[int, list[int]],
+) -> tuple[int, list[int]]:
+    """`treewidth_exact`'s search below one prefix of eliminated vertices.
+
+    `reached` maps each visited vertex subset to the best prefix width
+    that reached it.  Returns the incumbent `best`, a (width, order) pair,
+    or a better one.  A module-level function, so the recursion builds no
+    closure that refers to itself: a call leaves no reference cycle behind.
+    """
+    if prefix_width >= best[0]:
+        return best
+    remaining = frozenset(adj)
+    seen = reached.get(remaining)
+    if seen is not None and seen <= prefix_width:
+        return best
+    reached[remaining] = prefix_width
+    if len(adj) <= 1:
+        width = max(prefix_width, 0) if adj else prefix_width
+        return (width, order + sorted(adj)) if width < best[0] else best
+    candidates = None
+    for v in sorted(adj):
+        if _fill_count(adj, v) == 0:
+            candidates = [v]
+            break
+    if candidates is None:
+        candidates = sorted(adj)
+    for v in candidates:
+        width = max(prefix_width, len(adj[v]))
+        if width >= best[0]:
+            continue
+        reduced = _copy_adj(adj)
+        _eliminate(reduced, v)
+        best = _branch(reduced, width, order + [v], reached, best)
+    return best
 
 
 def treewidth_greedy(graph: Graph) -> tuple[int, TreeDecomposition]:

@@ -186,28 +186,36 @@ def extract_valuation(
         raise ValueError("team does not cover the CNF's clause indices")
 
     chosen: dict[str, str] = {}
-
-    def select(clause_index: int) -> bool:
-        if clause_index > len(cnf.clauses):
-            return True
-        for variable, sign in by_clause[clause_index]:
-            previous = chosen.get(variable)
-            if previous is None:
-                chosen[variable] = sign
-                if select(clause_index + 1):
-                    return True
-                del chosen[variable]
-            elif previous == sign:
-                if select(clause_index + 1):
-                    return True
-        return False
-
-    if not select(1):
+    if not _select(by_clause, len(cnf.clauses), 1, chosen):
         return None
     return {
         j: chosen.get(_variable_element(j)) == "1"
         for j in range(1, cnf.num_vars + 1)
     }
+
+
+def _select(
+    by_clause: dict[int, list[tuple[str, str]]], last: int, clause_index: int,
+    chosen: dict[str, str],
+) -> bool:
+    """Extend `chosen` with one consistent row per clause from `clause_index` on.
+
+    A module-level function, so the recursion builds no closure that
+    refers to itself: a call leaves no reference cycle behind.
+    """
+    if clause_index > last:
+        return True
+    for variable, sign in by_clause[clause_index]:
+        previous = chosen.get(variable)
+        if previous is None:
+            chosen[variable] = sign
+            if _select(by_clause, last, clause_index + 1, chosen):
+                return True
+            del chosen[variable]
+        elif previous == sign:
+            if _select(by_clause, last, clause_index + 1, chosen):
+                return True
+    return False
 
 
 # --- propositional dependence logic ---------------------------------------------
@@ -381,15 +389,20 @@ def reduce_pdl(formula: Formula) -> tuple[Structure, Team, Formula]:
     variable = {Var(p): Var(f"x{i}") for i, p in enumerate(props, 1)}
     structure = Structure(("0", "1"), relations={"TRUE": (1, [("1",)])})
 
-    def rename(f: Formula) -> Formula:
-        if isinstance(f, (And, Or)):
-            return type(f)(rename(f.left), rename(f.right))
-        if isinstance(f, DepAtom):
-            sides = (f.antecedent, f.consequent)
-            return DepAtom(*(tuple(map(variable.__getitem__, side)) for side in sides))
-        return RelAtom("TRUE", tuple(map(variable.__getitem__, f.args)), f.negated)
-
-    fo_formula = rename(formula)
+    fo_formula = _rename(formula, variable)
     for x in reversed(variable.values()):
         fo_formula = Exists(x.name, fo_formula)
     return structure, Team.of_empty_assignment(), fo_formula
+
+
+def _rename(f: Formula, variable: dict[Var, Var]) -> Formula:
+    """A PDL formula with each proposition `p` replaced by `variable[Var(p)]`.
+
+    Module-level, for the reason `_select` gives.
+    """
+    if isinstance(f, (And, Or)):
+        return type(f)(_rename(f.left, variable), _rename(f.right, variable))
+    if isinstance(f, DepAtom):
+        sides = (f.antecedent, f.consequent)
+        return DepAtom(*(tuple(map(variable.__getitem__, side)) for side in sides))
+    return RelAtom("TRUE", tuple(map(variable.__getitem__, f.args)), f.negated)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,24 @@ import pytest
 from teamcheck import Structure, Team, TreeDecomposition, parse_structure, parse_team
 
 DATA = Path(__file__).parent / "data"
+
+
+def cyclic_garbage(call, *args):
+    """`call(*args)` with the cyclic collector paused: its result, and the
+    number of objects it allocated that it left in reference cycles, which
+    only the collector would free.
+
+    The objects that exist beforehand are frozen, so that the collection
+    after the call looks at the call's objects alone and takes
+    milliseconds, not a pass over the whole test session's heap.
+    """
+    gc.disable()
+    gc.freeze()
+    try:
+        return call(*args), gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
 
 
 def load_flight_instance() -> tuple[Structure, Team]:

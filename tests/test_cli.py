@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from teamcheck import cli
 
-from conftest import DATA
+from conftest import DATA, cyclic_garbage
 
 
 def run_cli(*argv: str) -> int:
@@ -516,3 +518,123 @@ def test_benchmark_tracer_names_bind_to_their_layers():
     for name, metric in spans.TRACED.items():
         layer = importlib.import_module("teamcheck." + metric.split(".")[0])
         assert getattr(cli, name) is getattr(layer, name), name
+
+
+# --- the cyclic collector ------------------------------------------------------
+
+def _commands(tmp_path) -> dict[str, tuple[tuple[str, ...], int]]:
+    """Command lines covering every command and exit code, by name, each
+    with the exit code it gives."""
+    flights = str(DATA / "flights.structure"), str(DATA / "flights.team")
+    departures = str(DATA / "depsmall.structure"), write(tmp_path / "pair", "x y\nF7 C1\nF8 C1\n")
+    sat = write(tmp_path / "sat", "=(Flight,Date,Time;Destination,Gate)\n")
+    unsat = write(tmp_path / "unsat", "=(Destination,Gate;Time)\n")
+    commands = {}
+    for engine in ("naive", "opt", "auto"):
+        commands[f"check-{engine}-sat"] = ("check", *flights, sat, "--engine", engine), 0
+        commands[f"check-{engine}-unsat"] = ("check", *flights, unsat, "--engine", engine), 1
+    fo_sat = write(tmp_path / "fo-sat", "exists z R(y,x,z)\n")
+    commands["check-fo-sat"] = ("check", *departures, fo_sat, "--engine", "fo"), 0
+    fo_unsat = write(tmp_path / "fo-unsat", "S(x,y)\n")
+    commands["check-fo-unsat"] = ("check", *departures, fo_unsat, "--engine", "fo"), 1
+    commands["check-syntax-error"] = ("check", *flights, write(tmp_path / "bad", "=(Flight;\n")), 2
+    commands["check-missing-file"] = ("check", str(tmp_path / "missing"), flights[1], sat), 2
+    commands["check-budget"] = (
+        "check", write(tmp_path / "s", "universe: a b\nrelation R/1:\n"),
+        write(tmp_path / "t", "x\na\nb\n"), write(tmp_path / "f", "R(x) | R(x)\n"),
+        "--engine", "opt", "--budget", "2",
+    ), 3
+    cnf = write(tmp_path / "in.cnf", "p cnf 4 3\n1 2 3 0\n-1 2 4 0\n-2 -3 -4 0\n")
+    commands["reduce-3sat"] = ("reduce", "3sat", cnf, str(tmp_path / "r3")), 0
+    pdl = write(tmp_path / "in.pdl", "(p & =(p;q)) | (!q & =(;r))\n")
+    commands["reduce-pdl"] = ("reduce", "pdl", pdl, str(tmp_path / "rp")), 0
+    commands["params"] = ("params", *departures, fo_sat), 0
+    grid = grid_structure(tmp_path / "grid", 3, 4)
+    grid_files = write(tmp_path / "g", "x\nv0_0\n"), write(tmp_path / "e", "exists y E(x,y)\n")
+    commands["params-grid"] = ("params", grid, *grid_files), 0
+    for family in ("team-size", "universe-size", "splits"):
+        commands[f"bench-{family}"] = ("bench", "--family", family, "--range", "1..3"), 0
+    assert sorted(commands) == sorted(_COMMAND_NAMES)
+    return commands
+
+
+_COMMAND_NAMES = [
+    *(f"check-{engine}-{answer}" for engine in ("naive", "opt", "auto", "fo")
+      for answer in ("sat", "unsat")),
+    "check-syntax-error", "check-missing-file", "check-budget",
+    "reduce-3sat", "reduce-pdl", "params", "params-grid",
+    "bench-team-size", "bench-universe-size", "bench-splits",
+]
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_commands_leave_no_reference_cycles(tmp_path, capsys, name):
+    # `main` runs every command with the cyclic collector paused; that
+    # leaves nothing unfreed only as long as no command builds a cycle
+    argv, code = _commands(tmp_path)[name]
+    assert run_cli(*argv) == code  # warms the cached parser
+    assert cyclic_garbage(run_cli, *argv) == (code, 0)
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "name", ["check-opt-sat", "check-opt-unsat", "check-syntax-error", "check-budget"]
+)
+def test_main_restores_the_collector_state(tmp_path, capsys, enabled, name):
+    argv, code = _commands(tmp_path)[name]
+    _set_collector(enabled)
+    try:
+        assert run_cli(*argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state_on_escaping_exceptions(monkeypatch, enabled):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("command failed")
+
+    _set_collector(enabled)
+    try:
+        with pytest.raises(SystemExit):
+            run_cli("frobnicate")
+        assert gc.isenabled() is enabled
+        parser = SimpleNamespace(parse_args=lambda argv: SimpleNamespace(func=command))
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: parser)
+        with pytest.raises(RuntimeError, match="command failed"):
+            run_cli("anything")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def test_check_of_a_large_team_starts_no_collection(tmp_path, capsys):
+    # 5,000 rows allocate far more tuples than the young generation's
+    # threshold; a command runs with the collector paused, so none starts
+    names = [f"e{i}" for i in range(100)]
+    rows = (f"{names[i % 100]} {names[i // 100]} {names[i * 7 % 100]}" for i in range(5000))
+    structure = write(tmp_path / "s", f"universe: {' '.join(names)}\n")
+    team = write(tmp_path / "t", "x y z\n" + "\n".join(rows) + "\n")
+    formula = write(tmp_path / "f", "=(x,y;z)\n")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert run_cli("check", structure, team, formula) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []

@@ -19,7 +19,7 @@ from teamcheck import (
 from teamcheck.graph import _index_adjacency, _min_fill_order, _minor_min_width
 
 from brute import treewidth_by_orders, treewidth_by_subsets
-from conftest import DEPARTURES_EDGES, departures_reference_decomposition
+from conftest import DEPARTURES_EDGES, cyclic_garbage, departures_reference_decomposition
 from depgen import random_structure
 
 
@@ -199,6 +199,16 @@ def test_exact_and_minor_min_width_match_subset_oracle():
     assert searched >= 5 and improved >= 1
     assert minor_min_width(Graph.from_edges(range(4), [])) == 0
     assert minor_min_width(complete_graph(5)) == 4
+
+
+def test_exact_search_leaves_no_reference_cycles():
+    # the branch and bound recurses through a module-level function, so the
+    # search frees its tables by reference counting alone, searched or not
+    searched = [g for g in oracle_graphs() if minor_min_width(g) < min_fill_width(g)]
+    for graph in searched[:5] + [grid_graph(4, 4), complete_graph(1)]:
+        (width, decomposition), garbage = cyclic_garbage(treewidth_exact, graph)
+        assert garbage == 0
+        assert validate_decomposition(graph, decomposition) and decomposition.width == width
 
 
 def test_minor_min_width_meets_min_fill_on_grids_and_partial_k_trees():

@@ -38,6 +38,7 @@ from teamcheck import (
 )
 
 from brute import dpll
+from conftest import cyclic_garbage
 from depgen import random_cnf, random_pdl
 
 
@@ -162,6 +163,20 @@ def test_extracted_valuation_satisfies_cnf():
         found += 1
         assert evaluate_cnf(cnf, valuation)
     assert found >= 25
+
+
+def test_valuation_and_pdl_reduction_leave_no_reference_cycles():
+    # both recurse through module-level functions, not through closures
+    # that reach themselves
+    rng = random.Random(304)
+    for _ in range(10):
+        cnf = random_cnf(rng, num_vars=4, num_clauses=rng.randint(1, 4))
+        structure, team, _ = reduce_3sat(cnf)
+        valuation, garbage = cyclic_garbage(extract_valuation, cnf, structure, team)
+        assert garbage == 0
+        assert valuation is None or evaluate_cnf(cnf, valuation)
+        _, garbage = cyclic_garbage(reduce_pdl, random_pdl(rng, ("p1", "p2", "p3"), 3))
+        assert garbage == 0
 
 
 def test_reduced_instance_parameters():
