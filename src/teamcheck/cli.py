@@ -12,6 +12,7 @@ import functools
 import gc
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 from .evaluator import (
@@ -20,7 +21,6 @@ from .evaluator import (
     find_dep_violation,
     run_check,
 )
-from .graph import gaifman, treewidth_exact, treewidth_greedy
 from .model import (
     Structure,
     Team,
@@ -29,7 +29,6 @@ from .model import (
     structure_to_text,
     team_to_text,
 )
-from .reductions import parse_dimacs, parse_pdl, reduce_3sat, reduce_pdl
 from .syntax import (
     DepAtom,
     Formula,
@@ -46,6 +45,32 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 10_000_000
 TREEWIDTH_LIMIT = 20
+
+# The names `params` and `reduce` use from the two modules a `check` never
+# runs, by module.  `_bind` imports each module and binds its names here on
+# first use, so a `check` compiles neither.
+_DEFERRED = {
+    "graph": ("gaifman", "treewidth_exact", "treewidth_greedy"),
+    "reductions": ("parse_dimacs", "parse_pdl", "reduce_3sat", "reduce_pdl"),
+}
+
+
+def _bind(module: str) -> None:
+    """Bind `module`'s deferred names in this module, importing it on first
+    use.  A name already bound stays, such as one a tracer has rebound."""
+    scope = globals()
+    for name in _DEFERRED[module]:
+        if name not in scope:
+            scope[name] = getattr(import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _ENGINES = {
     "naive": Engine.NAIVE,
@@ -80,6 +105,7 @@ class ParameterReport(Value):
 
 def build_report(structure: Structure, team: Team, formula: Formula) -> ParameterReport:
     """All nine parameters; treewidth is exact up to `TREEWIDTH_LIMIT` vertices."""
+    _bind("graph")
     params = analyze(formula)
     graph = gaifman(structure)
     if len(graph.vertices) <= TREEWIDTH_LIMIT:
@@ -139,6 +165,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _bind("reductions")
     text = _read(args.input_file)
     if args.kind == "3sat":
         structure, team, formula = reduce_3sat(parse_dimacs(text))
@@ -191,7 +218,7 @@ def _bench_instance(family: str, value: int) -> tuple[Structure, Team, Formula]:
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not (sep and text.isascii() and lo.isdigit() and hi.isdigit()):
+    if not (sep and text.isascii() and lo.isdigit() and hi.isdigit()) or int(lo) > int(hi):
         raise ValueError(f"bad range {text!r}, expected LO..HI")
     return range(int(lo), int(hi) + 1)
 

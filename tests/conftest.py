@@ -8,6 +8,7 @@ import pytest
 from teamcheck import Structure, Team, TreeDecomposition, parse_structure, parse_team
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def cyclic_garbage(call, *args):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +12,7 @@ import pytest
 
 from teamcheck import cli
 
-from conftest import DATA, cyclic_garbage
+from conftest import DATA, SRC, cyclic_garbage
 
 
 def run_cli(*argv: str) -> int:
@@ -376,13 +380,6 @@ def test_reduce_bad_input_exits_two(tmp_path, capsys):
 
 # --- bench ---------------------------------------------------------------------
 
-def test_bench_empty_range_emits_header_only(capsys):
-    rc = run_cli("bench", "--family", "team-size", "--range", "5..2")
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out == "param,value,engine,nodes,millis,status\n"
-
-
 def test_bench_csv_shape_and_monotone_nodes(tmp_path):
     out_path = tmp_path / "bench.csv"
     rc = run_cli(
@@ -452,9 +449,12 @@ def test_bench_families_monotone_nodes(tmp_path, family, value_range):
 
 def test_bench_bad_range_exits_two(capsys):
     # str.isdigit accepts a superscript two, which int() rejects
-    for value_range in ("oops", "\u00b2..3"):
+    for value_range in ("oops", "\u00b2..3", "5..2"):
         assert run_cli("bench", "--family", "splits", "--range", value_range) == 2
         assert capsys.readouterr().err == f"error: bad range {value_range!r}, expected LO..HI\n"
+    assert run_cli("bench", "--family", "splits", "--range", "3..3") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["3"]
 
 
 # --- argparse usage errors ---------------------------------------------------------
@@ -505,7 +505,32 @@ def test_readme_library_example_prints_true(capsys):
     assert capsys.readouterr().out == "True\n"
 
 
-def test_benchmark_tracer_names_bind_to_their_layers():
+def fresh_python(code: str, *args: str) -> str:
+    """The standard output of `code` run in a new interpreter that imports
+    this checkout's `teamcheck`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
+TRACER_PROBE = """
+import sys
+from teamcheck import cli
+assert "teamcheck.graph" not in sys.modules
+original = getattr(cli, "gaifman")
+calls = []
+def counting(*args):
+    calls.append(args)
+    return original(*args)
+setattr(cli, "gaifman", counting)
+code = cli.main(sys.argv[1:])
+print(code, len(calls), cli.gaifman is counting)
+"""
+
+
+def test_benchmark_tracer_names_bind_to_their_layers(tmp_path, capsys):
     # perfbench/spans.py rebinds each traced name on teamcheck.cli; each must
     # be the layer's own function, imported by name
     import importlib.util
@@ -518,6 +543,101 @@ def test_benchmark_tracer_names_bind_to_their_layers():
     for name, metric in spans.TRACED.items():
         layer = importlib.import_module("teamcheck." + metric.split(".")[0])
         assert getattr(cli, name) is getattr(layer, name), name
+    # a name rebound before its module's first use stays rebound, and runs
+    argv, code = _commands(tmp_path)["params"]
+    *lines, last = fresh_python(TRACER_PROBE, *argv).splitlines()
+    assert last == f"{code} 1 True"
+    assert run_cli(*argv) == code
+    assert lines == capsys.readouterr().out.splitlines()
+
+
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from teamcheck import cli
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(argv) if argv else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "teamcheck")]))
+"""
+
+_CHECK_MODULES = [
+    "teamcheck", "teamcheck.cli", "teamcheck.evaluator", "teamcheck.model",
+    "teamcheck.syntax", "teamcheck.value",
+]
+
+
+@pytest.mark.parametrize(
+    "name, deferred",
+    [
+        (None, []),
+        ("check-opt-sat", []),
+        ("check-auto-unsat", []),
+        ("check-fo-sat", []),
+        ("check-syntax-error", []),
+        ("bench-splits", []),
+        ("params", ["teamcheck.graph"]),
+        ("params-grid", ["teamcheck.graph"]),
+        ("reduce-3sat", ["teamcheck.reductions"]),
+        ("reduce-pdl", ["teamcheck.reductions"]),
+    ],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, name, deferred):
+    argv, code = _commands(tmp_path)[name] if name else ((), None)
+    out = fresh_python(MODULES_PROBE, *argv)
+    assert json.loads(out) == [code, sorted(_CHECK_MODULES + deferred)]
+
+
+# every name `teamcheck` exports, by the module that defines it
+PUBLIC_NAMES = {
+    "evaluator": [
+        "BudgetExceededError", "CheckOutcome", "Engine", "check", "check_fo_tarski",
+        "find_dep_violation", "run_check",
+    ],
+    "graph": [
+        "Graph", "GraphError", "TreeDecomposition", "ValidationResult",
+        "decomposition_from_text", "decomposition_to_text", "gaifman",
+        "treewidth_exact", "treewidth_greedy", "validate_decomposition",
+    ],
+    "model": [
+        "Assignment", "Structure", "StructureError", "Team", "TeamError",
+        "parse_structure", "parse_team", "structure_to_text", "team_to_text",
+    ],
+    "reductions": [
+        "CNF", "CNFError", "evaluate_cnf", "extract_valuation", "parse_dimacs",
+        "parse_pdl", "pdl_check", "pdl_propositions", "pdl_sat_brute", "pretty_pdl",
+        "reduce_3sat", "reduce_pdl", "sat_brute",
+    ],
+    "syntax": [
+        "And", "Const", "DepAtom", "Equality", "Exists", "Forall", "Formula",
+        "FormulaSyntaxError", "Func", "Or", "RelAtom", "SyntacticParams", "Term",
+        "Var", "Vocabulary", "all_variables", "analyze", "formula_size",
+        "free_variables", "has_dependence_atoms", "parse_formula", "pretty",
+    ],
+}
+
+API_PROBE = """
+import importlib, json, sys
+import teamcheck
+listed = set(dir(teamcheck))
+starred = {}
+exec("from teamcheck import *", starred)
+wrong = []
+for module, names in json.loads(sys.argv[1]).items():
+    home = importlib.import_module("teamcheck." + module)
+    for name in names:
+        imported = {}
+        exec(f"from teamcheck import {name}", imported)
+        same = imported[name] is getattr(home, name) is starred[name]
+        if not (same and name in listed):
+            wrong.append(name)
+print(json.dumps([wrong, hasattr(teamcheck, "no_such_name")]))
+"""
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    assert sum(map(len, PUBLIC_NAMES.values())) == 61
+    out = fresh_python(API_PROBE, json.dumps(PUBLIC_NAMES))
+    assert json.loads(out) == [[], False]
 
 
 # --- the cyclic collector ------------------------------------------------------

@@ -12,7 +12,6 @@ import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -44,7 +43,7 @@ from teamcheck import (
 from teamcheck.cli import ParameterReport
 from teamcheck.value import Value
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import SRC
 
 x, y = Var("x"), Var("y")
 EQ = Equality(x, y)
