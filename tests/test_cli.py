@@ -449,9 +449,17 @@ def test_bench_families_monotone_nodes(tmp_path, family, value_range):
 
 def test_bench_bad_range_exits_two(capsys):
     # str.isdigit accepts a superscript two, which int() rejects
-    for value_range in ("oops", "\u00b2..3", "5..2"):
+    for value_range in ("oops", "\u00b2..3"):
         assert run_cli("bench", "--family", "splits", "--range", value_range) == 2
         assert capsys.readouterr().err == f"error: bad range {value_range!r}, expected LO..HI\n"
+
+
+def test_bench_reversed_range_exits_two(capsys):
+    # LO > HI would bench nothing; a one-value range LO == HI stays valid
+    assert run_cli("bench", "--family", "team-size", "--range", "5..2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad range '5..2', expected LO..HI\n"
     assert run_cli("bench", "--family", "splits", "--range", "3..3") == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["3"]
