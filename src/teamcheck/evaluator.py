@@ -340,17 +340,22 @@ def _byte_flags() -> list[bytes]:
 
 
 # about 0.1 ms at import in all, and read-only after it
-_LOW, _HIGH, _BYTE_FLAGS = _byte_table(0), _byte_table(1), _byte_flags()
+_LOW, _HIGH, _THIRD, _BYTE_FLAGS = _byte_table(0), _byte_table(1), _byte_table(2), _byte_flags()
 
 
 def _bits(mask: int) -> list[int]:
     """The set bit positions of `mask`, ascending, with no Python code per bit.
 
-    A mask below 2^16 joins its two bytes' entries of `_LOW` and `_HIGH`;
-    every `_bits` call on `sat3` takes this path.  A wider one picks the
-    positions whose `_BYTE_FLAGS` flag is set."""
+    Three branches.  A mask below 2^16 joins its two bytes' entries of
+    `_LOW` and `_HIGH`; every call from the team engines on `sat3` takes
+    this path.  A mask below 2^24 joins three entries, adding `_THIRD`'s;
+    the treewidth code in `graph`, the other caller, takes one of these two
+    on every graph of up to 24 vertices.  A wider mask picks the positions
+    whose `_BYTE_FLAGS` flag is set."""
     if mask < 65536:
         return [*_LOW[mask & 255], *_HIGH[mask >> 8]]
+    if mask < 16777216:
+        return [*_LOW[mask & 255], *_HIGH[mask >> 8 & 255], *_THIRD[mask >> 16]]
     data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
     flags = b"".join(map(_BYTE_FLAGS.__getitem__, data))
     return list(itertools.compress(itertools.count(), flags))

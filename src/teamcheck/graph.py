@@ -1,9 +1,15 @@
-"""Gaifman graphs, treewidth, and certifying tree decompositions."""
+"""Gaifman graphs, treewidth, and certifying tree decompositions.
+
+The treewidth code keeps a graph's adjacency as a list of int bitmasks,
+one per vertex position, and reads each decomposition bag off the
+elimination step that made it.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from .evaluator import _bits
 from .model import Structure, _content_lines
 from .value import Value, new_value
 
@@ -92,51 +98,67 @@ def gaifman(structure: Structure, include_functions: bool = False) -> Graph:
 
 
 # --- treewidth ---------------------------------------------------------------
+#
+# Bit u of adj[v] is set iff uv is an edge.  Eliminating a vertex clears its
+# bit in its neighbours' masks and joins them into a clique; `_bits` lists
+# the set positions of a mask.
 
-def _index_adjacency(graph: Graph) -> dict[int, set[int]]:
+def _index_adjacency(graph: Graph) -> list[int]:
+    """The adjacency masks of `graph`, indexed by vertex position."""
     position = {v: i for i, v in enumerate(graph.vertices)}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(graph.vertices))}
+    adj = [0] * len(graph.vertices)
     for u, v in graph.edges:
-        adj[position[u]].add(position[v])
-        adj[position[v]].add(position[u])
+        i, j = position[u], position[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return adj
 
 
-def _eliminate(adj: dict[int, set[int]], v: int) -> None:
-    neighbors = adj.pop(v)
-    for u in neighbors:
-        adj[u].discard(v)
-        adj[u].update(neighbors - {u})
+def _fill(adj: list[int], neighbors: int) -> int:
+    """The missing edges among `neighbors`: the pairs not adjacent in `adj`."""
+    degree = neighbors.bit_count()
+    masks = map(adj.__getitem__, _bits(neighbors))
+    inside = sum(map(int.bit_count, map(neighbors.__and__, masks)))  # each edge twice
+    return (degree * degree - degree - inside) >> 1
 
 
-def _copy_adj(adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    return {v: set(nb) for v, nb in adj.items()}
+def _min_fill_order(adj: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Greedy min-fill elimination: (width of the ordering, elimination).
 
-
-def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    neighbors = sorted(adj[v])
-    missing = 0
-    for i, u in enumerate(neighbors):
-        for w in neighbors[i + 1:]:
-            if w not in adj[u]:
-                missing += 1
-    return missing
-
-
-def _min_fill_order(adj: dict[int, set[int]]) -> tuple[int, list[int]]:
-    """Greedy min-fill elimination: (width of the ordering, full ordering)."""
-    adj = _copy_adj(adj)
+    The elimination lists each vertex in order with the mask of its
+    neighbours when it goes; ties in fill go to the lower index.  After an
+    elimination only the fill of its neighbours, and of their neighbours
+    when it added edges, can change, so only theirs is counted again.
+    """
+    adj = list(adj)
+    fill = [_fill(adj, nb) for nb in adj]
+    alive = (1 << len(adj)) - 1
     width = 0
-    order: list[int] = []
-    while adj:
-        v = min(adj, key=lambda u: (_fill_count(adj, u), u))
-        width = max(width, len(adj[v]))
-        order.append(v)
-        _eliminate(adj, v)
-    return width, order
+    steps: list[tuple[int, int]] = []
+    while alive:
+        v = min(_bits(alive), key=fill.__getitem__)
+        neighbors = adj[v]
+        width = max(width, neighbors.bit_count())
+        steps.append((v, neighbors))
+        alive ^= 1 << v
+        if fill[v]:
+            touched = neighbors
+            for u in _bits(neighbors):
+                adj[u] = (adj[u] | neighbors) & ~(1 << u | 1 << v)
+                touched |= adj[u]
+            for u in _bits(touched):
+                fill[u] = _fill(adj, adj[u])
+        else:
+            # no edge added: each neighbour just loses v, and the pairs of v
+            # with its own neighbours outside v's closed neighbourhood
+            closed = neighbors | 1 << v
+            for u in _bits(neighbors):
+                fill[u] -= (adj[u] & ~closed).bit_count()
+                adj[u] ^= 1 << v
+    return width, steps
 
 
-def _minor_min_width(adj: dict[int, set[int]]) -> int:
+def _minor_min_width(adj: list[int]) -> int:
     """Minor-min-width: a treewidth lower bound that contracts towards a minor.
 
     Repeatedly take a vertex of minimum degree, raise the bound to that
@@ -145,20 +167,22 @@ def _minor_min_width(adj: dict[int, set[int]]) -> int:
     and treewidth never grows under minors, so each degree seen is at most
     the treewidth (Gogate and Dechter, UAI 2004).
     """
-    adj = _copy_adj(adj)
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
     bound = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        neighbors = adj.pop(v)
-        bound = max(bound, len(neighbors))
-        for u in neighbors:
-            adj[u].discard(v)
+    while alive.bit_count() > bound + 1:  # else no degree left exceeds the bound
+        degree = list(map(int.bit_count, adj))
+        v = min(_bits(alive), key=degree.__getitem__)
+        neighbors = adj[v]
+        bound = max(bound, degree[v])
+        alive ^= 1 << v
         if neighbors:
-            target = min(neighbors, key=lambda u: (len(adj[u]), u))
-            neighbors.discard(target)
-            adj[target] |= neighbors
-            for u in neighbors:
-                adj[u].add(target)
+            # every neighbour loses v, so their degrees keep their order
+            target = min(_bits(neighbors), key=degree.__getitem__)
+            rest = neighbors ^ 1 << target
+            adj[target] = (adj[target] | rest) & ~(1 << v)
+            for u in _bits(rest):
+                adj[u] = (adj[u] | 1 << target) & ~(1 << v)
     return bound
 
 
@@ -182,45 +206,47 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
     full = _index_adjacency(graph)
     best = _min_fill_order(full)
     if _minor_min_width(full) < best[0]:
-        best = _branch(full, -1, [], {}, best)
+        best = _branch(full, (1 << n) - 1, -1, [], {}, best)
     return best[0], _decomposition_from_order(graph, best[1])
 
 
 def _branch(
-    adj: dict[int, set[int]], prefix_width: int, order: list[int],
-    reached: dict[frozenset, int], best: tuple[int, list[int]],
-) -> tuple[int, list[int]]:
+    adj: list[int], remaining: int, prefix_width: int, steps: list[tuple[int, int]],
+    reached: dict[int, int], best: tuple[int, list[tuple[int, int]]],
+) -> tuple[int, list[tuple[int, int]]]:
     """`treewidth_exact`'s search below one prefix of eliminated vertices.
 
-    `reached` maps each visited vertex subset to the best prefix width
-    that reached it.  Returns the incumbent `best`, a (width, order) pair,
-    or a better one.  A module-level function, so the recursion builds no
-    closure that refers to itself: a call leaves no reference cycle behind.
+    `remaining` is the mask of the vertices not yet eliminated, and `adj`
+    their adjacency after the prefix `steps`.  `reached` maps each visited
+    mask to the best prefix width that reached it.  Returns the incumbent
+    `best`, a (width, elimination) pair, or a better one.  A module-level
+    function, so the recursion builds no closure that refers to itself: a
+    call leaves no reference cycle behind.
     """
     if prefix_width >= best[0]:
         return best
-    remaining = frozenset(adj)
     seen = reached.get(remaining)
     if seen is not None and seen <= prefix_width:
         return best
     reached[remaining] = prefix_width
-    if len(adj) <= 1:
-        width = max(prefix_width, 0) if adj else prefix_width
-        return (width, order + sorted(adj)) if width < best[0] else best
-    candidates = None
-    for v in sorted(adj):
-        if _fill_count(adj, v) == 0:
-            candidates = [v]
-            break
-    if candidates is None:
-        candidates = sorted(adj)
+    if remaining & (remaining - 1) == 0:
+        width = max(prefix_width, 0) if remaining else prefix_width
+        tail = [(v, 0) for v in _bits(remaining)]
+        return (width, steps + tail) if width < best[0] else best
+    candidates = _bits(remaining)
     for v in candidates:
-        width = max(prefix_width, len(adj[v]))
+        if not _fill(adj, adj[v]):
+            candidates = [v]  # simplicial: eliminating it first loses nothing
+            break
+    for v in candidates:
+        neighbors = adj[v]
+        width = max(prefix_width, neighbors.bit_count())
         if width >= best[0]:
             continue
-        reduced = _copy_adj(adj)
-        _eliminate(reduced, v)
-        best = _branch(reduced, width, order + [v], reached, best)
+        reduced = list(adj)
+        for u in _bits(neighbors):
+            reduced[u] = (reduced[u] | neighbors) & ~(1 << u | 1 << v)
+        best = _branch(reduced, remaining ^ 1 << v, width, steps + [(v, neighbors)], reached, best)
     return best
 
 
@@ -228,29 +254,31 @@ def treewidth_greedy(graph: Graph) -> tuple[int, TreeDecomposition]:
     """Min-fill heuristic upper bound with its (always valid) decomposition."""
     if not graph.vertices:
         return -1, TreeDecomposition((frozenset(),), frozenset())
-    width, order = _min_fill_order(_index_adjacency(graph))
-    return width, _decomposition_from_order(graph, order)
+    width, steps = _min_fill_order(_index_adjacency(graph))
+    return width, _decomposition_from_order(graph, steps)
 
 
-def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecomposition:
-    """Build the tree decomposition induced by an elimination ordering.
+def _decomposition_from_order(graph: Graph, steps: list[tuple[int, int]]) -> TreeDecomposition:
+    """The tree decomposition induced by an elimination, read off its steps.
 
-    Bag i holds order[i] and its neighbours when it is eliminated.  It hangs
-    on the bag of the neighbour eliminated first, which holds the others, or
-    on bag i+1 when no neighbours are left; for edgeless graphs this chains
-    singleton bags into a path.
+    Bag i holds the i-th eliminated vertex and its neighbours when it went,
+    as the step recorded them.  It hangs on the bag of the neighbour
+    eliminated first, which holds the others, or on bag i+1 when no
+    neighbours are left; for edgeless graphs this chains singleton bags
+    into a path.
     """
-    labels = graph.vertices
-    adj = _index_adjacency(graph)
-    step = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset] = []
-    edges: list[tuple[int, int]] = []
-    for i, v in enumerate(order[:-1]):
-        bags.append(frozenset(labels[u] for u in adj[v] | {v}))
-        edges.append((i, min(map(step.__getitem__, adj[v]), default=i + 1)))
-        _eliminate(adj, v)
-    bags.append(frozenset({labels[order[-1]]}))
-    return TreeDecomposition(tuple(bags), frozenset(edges))
+    labels = graph.vertices.__getitem__
+    step = [0] * len(graph.vertices)
+    for i, (v, _) in enumerate(steps):
+        step[v] = i
+    bags = tuple(frozenset(map(labels, _bits(neighbors | 1 << v))) for v, neighbors in steps)
+    edges = frozenset(
+        (i, min(map(step.__getitem__, _bits(neighbors)), default=i + 1))
+        for i, (_, neighbors) in enumerate(steps[:-1])
+    )
+    # the bags are frozensets and each edge (i, j) has i < j, so the
+    # constructor would change nothing
+    return new_value(TreeDecomposition, (TreeDecomposition, bags, edges))
 
 
 # --- validation ----------------------------------------------------------------

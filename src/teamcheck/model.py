@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from itertools import chain, compress, count, islice, product
+from itertools import chain, compress, count, islice, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .syntax import Vocabulary
+from .syntax import Vocabulary, _arity_problem
 from .value import Value, new_value
 
 
@@ -52,16 +52,24 @@ class Structure:
 
         self.relations: dict[str, frozenset[tuple[int, ...]]] = {}
         self.relation_arities: dict[str, int] = {}
+        index = self._index.__getitem__
         for name, (arity, rows) in (relations or {}).items():
-            table = set()
-            for row in rows:
-                row = tuple(row)
-                if len(row) != arity:
-                    raise StructureError(
-                        f"relation {name!r} tuple {row!r} does not have arity {arity}"
-                    )
-                table.add(tuple(self.element_index(e) for e in row))
-            self.relations[name] = frozenset(table)
+            rows = list(rows)
+            # C-level iterators map every value of every tuple; a table with
+            # a tuple of another arity or a value outside the universe is
+            # read again tuple by tuple, to name its first bad tuple
+            table = None
+            if set(map(len, rows)) <= {arity}:
+                with suppress(KeyError):
+                    table = frozenset(zip(*[map(index, chain.from_iterable(rows))] * arity))
+            if table is None:
+                for row in map(tuple, rows):
+                    if len(row) != arity:
+                        raise StructureError(
+                            f"relation {name!r} tuple {row!r} does not have arity {arity}"
+                        )
+                    tuple(map(self.element_index, row))
+            self.relations[name] = table
             self.relation_arities[name] = arity
 
         self.functions: dict[str, dict[tuple[int, ...], int]] = {}
@@ -298,10 +306,22 @@ def _declare(table: dict, kind: str, name: str, value, lineno: int) -> None:
     table[name] = value
 
 
+def _declaration(head: str, kind: str, lineno: int) -> tuple[str, int]:
+    """The name and arity of a relation or function declaration."""
+    m = _DECL.fullmatch(head.strip())
+    if not m:
+        raise StructureError(f"line {lineno}: bad {kind} declaration {head!r}")
+    name, arity = m.group(2), int(m.group(3))
+    problem = _arity_problem(name, arity)
+    if problem:
+        raise StructureError(f"line {lineno}: {problem}")
+    return name, arity
+
+
 def parse_structure(text: str) -> Structure:
     """Parse the line-based structure format."""
     universe: list[str] | None = None
-    relations: dict[str, tuple[int, list[tuple[str, ...]]]] = {}
+    relations: dict[str, tuple[int, Iterable[list[str]]]] = {}
     functions: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
     constants: dict[str, str] = {}
     for lineno, line in _content_lines(text):
@@ -312,22 +332,19 @@ def parse_structure(text: str) -> Structure:
                 raise StructureError(f"line {lineno}: duplicate universe line")
             universe = rest.split()
         elif colon and word == "relation":
-            m = _DECL.fullmatch(head.strip())
-            if not m:
-                raise StructureError(f"line {lineno}: bad relation declaration {head!r}")
-            name, arity = m.group(2), int(m.group(3))
-            if _GROUP.sub("", rest).strip():
+            name, arity = _declaration(head, word, lineno)
+            parts = _GROUP.split(rest)  # the text around the tuples, and each tuple's values
+            if "".join(parts[::2]).strip():
                 raise StructureError(f"line {lineno}: stray text in relation tuples")
-            rows = [
-                tuple(part.strip() for part in group.split(","))
-                for group in _GROUP.findall(rest)
-            ]
+            groups = parts[1::2]
+            joined = ",".join(groups)
+            if joined.split() == [joined]:  # no value has white space to strip
+                rows = map(str.split, groups, repeat(","))
+            else:
+                rows = [tuple(map(str.strip, group.split(","))) for group in groups]
             _declare(relations, "relation", name, (arity, rows), lineno)
         elif colon and word == "function":
-            m = _DECL.fullmatch(head.strip())
-            if not m:
-                raise StructureError(f"line {lineno}: bad function declaration {head!r}")
-            name, arity = m.group(2), int(m.group(3))
+            name, arity = _declaration(head, word, lineno)
             if _FUNC_ENTRY.sub("", rest).strip():
                 raise StructureError(f"line {lineno}: stray text in function entries")
             table: dict[tuple[str, ...], str] = {}

@@ -42,6 +42,14 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+def _arity_problem(name: str, arity: int) -> str | None:
+    """Why `arity` cannot be symbol `name`'s, or None: relation and function
+    symbols take at least one argument."""
+    if arity < 1:
+        return f"symbol {name!r} must have arity >= 1, got {arity}"
+    return None
+
+
 class Vocabulary(Value):
     """Declared relation, function, and constant symbols.
 
@@ -69,8 +77,9 @@ class Vocabulary(Value):
                 raise ValueError(f"symbol {name!r} declared more than once")
             seen.add(name)
         for name, arity in (*relations.items(), *functions.items()):
-            if arity < 1:
-                raise ValueError(f"symbol {name!r} must have arity >= 1, got {arity}")
+            problem = _arity_problem(name, arity)
+            if problem:
+                raise ValueError(problem)
         return new_value(cls, (cls, relations, functions, constants))
 
 

@@ -2,9 +2,10 @@
 
 These implementations deliberately share no code with the package: DPLL
 cross-checks the exhaustive SAT oracle, full permutation search and a
-subset recurrence cross-check the branch-and-bound treewidth, subset
-enumeration cross-checks team properties, and a literal line-by-line
-reader cross-checks the team-file loader.
+subset recurrence cross-check the branch-and-bound treewidth, min-fill and
+minor-min-width on adjacency sets cross-check the package's versions on
+adjacency masks, subset enumeration cross-checks team properties, and a
+literal line-by-line reader cross-checks the team-file loader.
 """
 
 from __future__ import annotations
@@ -58,29 +59,108 @@ def fo_view_of_pdl(formula):
     return Structure(("0", "1"), relations={"TRUE": (1, [("1",)])}), formula
 
 
+def set_adjacency(graph: Graph) -> dict[int, set[int]]:
+    """Vertex position -> the set of its neighbours' positions."""
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    adj = {i: set() for i in range(len(graph.vertices))}
+    for u, v in graph.edges:
+        adj[position[u]].add(position[v])
+        adj[position[v]].add(position[u])
+    return adj
+
+
+def _eliminate(adj: dict[int, set[int]], v: int) -> set[int]:
+    """Remove v and join its neighbours into a clique; returns them."""
+    neighbors = adj.pop(v)
+    for u in neighbors:
+        adj[u].discard(v)
+        adj[u].update(neighbors - {u})
+    return neighbors
+
+
+def _fill_count(adj: dict[int, set[int]], v: int) -> int:
+    neighbors = sorted(adj[v])
+    missing = 0
+    for i, u in enumerate(neighbors):
+        for w in neighbors[i + 1:]:
+            if w not in adj[u]:
+                missing += 1
+    return missing
+
+
+def min_fill_order_by_sets(graph: Graph) -> tuple[int, list[int]]:
+    """Greedy min-fill elimination on adjacency sets: (width, ordering).
+
+    The vertex of least fill goes first, ties to the lower position.
+    """
+    adj = set_adjacency(graph)
+    width = 0
+    order: list[int] = []
+    while adj:
+        v = min(adj, key=lambda u: (_fill_count(adj, u), u))
+        width = max(width, len(adj[v]))
+        order.append(v)
+        _eliminate(adj, v)
+    return width, order
+
+
+def minor_min_width_by_sets(graph: Graph) -> int:
+    """Minor-min-width on adjacency sets (Gogate and Dechter, UAI 2004).
+
+    Contract a vertex of least degree into its neighbour of least degree,
+    ties to the lower position, and keep the largest degree seen.
+    """
+    adj = set_adjacency(graph)
+    bound = 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        neighbors = adj.pop(v)
+        bound = max(bound, len(neighbors))
+        for u in neighbors:
+            adj[u].discard(v)
+        if neighbors:
+            target = min(neighbors, key=lambda u: (len(adj[u]), u))
+            neighbors.discard(target)
+            adj[target] |= neighbors
+            for u in neighbors:
+                adj[u].add(target)
+    return bound
+
+
+def decomposition_by_replay(graph: Graph, order: list[int]):
+    """(bags, tree edges) of the elimination `order`, replayed on fresh sets.
+
+    Bag i is order[i] with its neighbours when it is eliminated; it hangs on
+    the bag of the neighbour eliminated first, or on bag i+1 if none is left.
+    """
+    labels = graph.vertices
+    adj = set_adjacency(graph)
+    step = {v: i for i, v in enumerate(order)}
+    bags, edges = [], set()
+    for i, v in enumerate(order):
+        neighbors = _eliminate(adj, v)
+        bags.append(frozenset(labels[u] for u in neighbors | {v}))
+        if i + 1 < len(order):
+            edges.add((i, min((step[u] for u in neighbors), default=i + 1)))
+    return tuple(bags), frozenset(edges)
+
+
 def treewidth_by_orders(graph: Graph) -> int:
     """Minimum elimination width over all vertex orders (n <= 7)."""
     n = len(graph.vertices)
     assert n <= 7, "permutation oracle is only meant for tiny graphs"
     if n == 0:
         return -1
-    position = {v: i for i, v in enumerate(graph.vertices)}
-    base = {i: set() for i in range(n)}
-    for u, v in graph.edges:
-        base[position[u]].add(position[v])
-        base[position[v]].add(position[u])
+    base = set_adjacency(graph)
     best = n - 1
     for order in itertools.permutations(range(n)):
         adj = {v: set(nb) for v, nb in base.items()}
         width = 0
         for v in order:
-            neighbors = adj.pop(v)
-            width = max(width, len(neighbors))
+            width = max(width, len(adj[v]))
             if width >= best:
                 break
-            for u in neighbors:
-                adj[u].discard(v)
-                adj[u].update(neighbors - {u})
+            _eliminate(adj, v)
         else:
             best = min(best, width)
     return best

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from teamcheck import cli
+from teamcheck import Structure, Team, cli, parse_formula
 
 from conftest import DATA, SRC, cyclic_garbage
 
@@ -109,8 +111,13 @@ def test_negative_budget_exits_two(tmp_path, capsys):
         ("formula", "R(x\n", "unexpected end of input"),
         ("team", b"x\n\xff\xfe\n", "can't decode"),
         ("structure", None, "No such file"),
+        ("structure", "universe: a b\nrelation R/0: ()\n", "line 2: symbol 'R' must have arity"),
+        ("structure", "universe: a b\nfunction f/0:\n", "line 2: symbol 'f' must have arity"),
     ],
-    ids=["bad-structure", "unknown-element", "formula-syntax", "non-utf8-team", "missing-file"],
+    ids=[
+        "bad-structure", "unknown-element", "formula-syntax", "non-utf8-team", "missing-file",
+        "arity-zero-relation", "arity-zero-function",
+    ],
 )
 def test_input_errors_exit_two(tmp_path, capsys, role, content, message):
     files = {
@@ -311,6 +318,34 @@ def test_params_treewidth_tag_follows_the_vertex_limit(tmp_path, capsys, rows, c
     assert rc == 0
     assert f"structure_size={rows * cols}" in out
     assert out[-1] == expected
+
+
+def params_corpus():
+    """300 seeded structures of 1 to 24 elements with one to three random
+    relations of arity 1 to 3, each with a team over x and a formula."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        size = rng.randint(1, 24)
+        universe = [f"e{i}" for i in range(size)]
+        relations = {}
+        for r in range(rng.randint(1, 3)):
+            arity = rng.randint(1, 3)
+            count = rng.randint(0, 3 * size // arity + 1)
+            rows = [tuple(rng.choice(universe) for _ in range(arity)) for _ in range(count)]
+            relations[f"R{r}"] = (arity, rows)
+        structure = Structure(universe, relations)
+        team = Team(("x",), frozenset((rng.randrange(size),) for _ in range(rng.randint(0, 4))))
+        args = ",".join(["x"] + ["y"] * (relations["R0"][0] - 1))
+        formula = parse_formula(f"exists y (R0({args}) | =(x;y))", structure.vocabulary())
+        yield structure, team, formula
+
+
+def test_params_pinned_on_random_structures():
+    # every line of every report, exact treewidth up to 20 elements and the
+    # min-fill bound above; a refactor of the treewidth code must keep each
+    reports = [cli.build_report(*case).lines() for case in params_corpus()]
+    assert len(reports) == 300
+    assert hashlib.sha256(repr(reports).encode()).hexdigest()[:16] == "7fcee7f7d8de1b7c"
 
 
 # --- reduce ------------------------------------------------------------------

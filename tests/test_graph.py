@@ -18,7 +18,13 @@ from teamcheck import (
 )
 from teamcheck.graph import _index_adjacency, _min_fill_order, _minor_min_width
 
-from brute import treewidth_by_orders, treewidth_by_subsets
+from brute import (
+    decomposition_by_replay,
+    min_fill_order_by_sets,
+    minor_min_width_by_sets,
+    treewidth_by_orders,
+    treewidth_by_subsets,
+)
 from conftest import DEPARTURES_EDGES, cyclic_garbage, departures_reference_decomposition
 from depgen import random_structure
 
@@ -229,6 +235,57 @@ def test_minor_min_width_claims_no_more_than_it_proves():
     grid = grid_graph(5, 5)
     assert minor_min_width(grid) == 4
     assert min_fill_width(grid) == 5
+
+
+def heuristic_oracle_graphs() -> list[Graph]:
+    # 0 to 24 vertices: both sides of the 20-vertex exact limit and of the
+    # 2^16 and 2^24 branches of `_bits`
+    rng = random.Random(24)
+    graphs = [
+        random_graph(rng, n, p=rng.choice((0.1, 0.2, 0.3, 0.45)))
+        for n in range(25)
+        for _ in range(5)
+    ]
+    graphs += [grid_graph(r, c) for r, c in ((3, 3), (4, 4), (4, 5), (5, 5), (3, 7), (2, 12))]
+    rng = random.Random(7)
+    for n in (10, 18, 20, 24):
+        for k in (2, 3, 4):
+            graphs += [partial_k_tree(rng, n, k, drop) for drop in (0.0, 0.2, 0.4)]
+    return graphs
+
+
+def elimination_order(decomposition: TreeDecomposition, graph: Graph) -> list[int]:
+    """The order a decomposition came from: bag i's eliminated vertex is
+    its one member that no later bag holds."""
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    order = []
+    for i, bag in enumerate(decomposition.bags):
+        (gone,) = bag.difference(*decomposition.bags[i + 1:])
+        order.append(position[gone])
+    return order
+
+
+def test_mask_heuristics_match_the_set_oracles():
+    searched = 0
+    for graph in heuristic_oracle_graphs():
+        adj = _index_adjacency(graph)
+        width, steps = _min_fill_order(adj)
+        order = [v for v, _ in steps]
+        assert (width, order) == min_fill_order_by_sets(graph)
+        bound = _minor_min_width(adj)
+        assert bound == minor_min_width_by_sets(graph)
+        if not graph.vertices:
+            continue
+        greedy_width, greedy = treewidth_greedy(graph)
+        assert greedy_width == width
+        assert (greedy.bags, greedy.tree_edges) == decomposition_by_replay(graph, order)
+        if len(graph.vertices) <= 20:
+            exact_width, exact = treewidth_exact(graph)
+            replayed = decomposition_by_replay(graph, elimination_order(exact, graph))
+            assert (exact.bags, exact.tree_edges) == replayed
+            assert exact.width == exact_width <= width
+            searched += bound < width
+    assert searched >= 10
 
 
 def test_exact_respects_vertex_limit():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import functools
 import random
+import re
 
 import pytest
 
@@ -232,6 +233,72 @@ def test_parse_structure_requires_universe():
 def test_parse_structure_rejects_stray_text():
     with pytest.raises(StructureError, match="stray"):
         parse_structure("universe: a\nrelation R/1: (a) junk\n")
+
+
+@pytest.mark.parametrize(
+    "declaration, name",
+    [("relation R/0: ()", "R"), ("function f/0:", "f"), ("relation R/0:", "R")],
+)
+def test_parse_structure_rejects_arity_zero_at_its_line(declaration, name):
+    # the vocabulary's arity rule, at the declaration, whatever its tuples
+    message = f"line 2: symbol {name!r} must have arity >= 1, got 0"
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        parse_structure(f"universe: a b\n{declaration}\n")
+
+
+@pytest.mark.parametrize(
+    "tuples, message",
+    [
+        ("(a,b) (a,zz) (a)", "element 'zz' is not in the universe"),
+        ("(a) (a,zz)", "relation 'R' tuple ('a',) does not have arity 2"),
+    ],
+)
+def test_first_bad_relation_tuple_is_named(tuples, message):
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        parse_structure(f"universe: a b\nrelation R/2: {tuples}\n")
+    rows = [tuple(group.split(",")) for group in re.findall(r"\(([^()]*)\)", tuples)]
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        Structure(["a", "b"], relations={"R": (2, rows)})
+
+
+def test_relation_tables_match_a_tuple_by_tuple_reading():
+    # random tables, some with a tuple of the wrong arity or a value outside
+    # the universe, and white space around some values: a good table loads
+    # as read tuple by tuple, and a bad one names its first bad tuple
+    rng = random.Random(17)
+    universe = ["a", "b", "c"]
+    index = {name: i for i, name in enumerate(universe)}
+    outcomes = collections.Counter()
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            width = arity if rng.random() < 0.9 else rng.choice([1, 2, 3, 4])
+            rows.append(tuple(rng.choice(universe + ["zz"] * (rng.random() < 0.1))
+                              for _ in range(width)))
+        expected = None
+        for row in rows:
+            if len(row) != arity:
+                expected = f"relation 'R' tuple {row!r} does not have arity {arity}"
+            elif "zz" in row:
+                expected = "element 'zz' is not in the universe"
+            if expected:
+                break
+        spaced = " ".join(
+            "(" + ",".join(rng.choice(["", " "]) + v + rng.choice(["", "\t"]) for v in row) + ")"
+            for row in rows
+        )
+        text = f"universe: a b c\nrelation R/{arity}: {spaced}\n"
+        for load in (lambda: parse_structure(text),
+                     lambda: Structure(universe, relations={"R": (arity, iter(rows))})):
+            if expected is None:
+                table = {tuple(index[v] for v in row) for row in rows}
+                assert load().relations["R"] == table
+            else:
+                with pytest.raises(StructureError, match=f"^{re.escape(expected)}$"):
+                    load()
+        outcomes[expected is None, "zz" in (expected or "")] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 30
 
 
 @pytest.mark.parametrize(
