@@ -1,16 +1,17 @@
 """Gaifman graphs, treewidth, and certifying tree decompositions.
 
-The treewidth code keeps a graph's adjacency as a list of int bitmasks,
-one per vertex position, and reads each decomposition bag off the
+A graph is its adjacency masks, one int per vertex position; the
+treewidth code works on them and reads each decomposition bag off the
 elimination step that made it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .evaluator import _bits
-from .model import Structure, _content_lines
+from .model import Structure, _check_writable, _content_lines
 from .value import Value, new_value
 
 
@@ -19,16 +20,17 @@ class GraphError(ValueError):
 
 
 class Graph(Value):
-    """An undirected graph without self-loops.
+    """An undirected graph without self-loops; vertices keep their order.
 
-    Vertices keep their construction order; edges are stored as pairs
-    normalized by vertex position.
+    Bit j of `adjacency[i]` is set iff vertices i and j are adjacent.
+    `from_edges` is the checked constructor; `Graph(vertices, adjacency)`
+    trusts its masks to be symmetric and free of self bits.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertices: tuple, edges: frozenset):
-        return new_value(cls, (cls, vertices, edges))
+    def __new__(cls, vertices: tuple, adjacency: tuple):
+        return new_value(cls, (cls, vertices, adjacency))
 
     @classmethod
     def from_edges(cls, vertices: Iterable, edges: Iterable) -> "Graph":
@@ -36,17 +38,27 @@ class Graph(Value):
         position = {v: i for i, v in enumerate(vertices)}
         if len(position) != len(vertices):
             raise GraphError("duplicate vertices")
-        normalized = set()
+        adjacency = [0] * len(vertices)
         for edge in edges:
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not a pair of vertices") from None
             if u not in position or v not in position:
                 raise GraphError(f"edge {edge!r} has an unknown endpoint")
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
-            if position[u] > position[v]:
-                u, v = v, u
-            normalized.add((u, v))
-        return cls(vertices, frozenset(normalized))
+            i, j = position[u], position[v]
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+        return cls(vertices, tuple(adjacency))
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as label pairs, each ordered by vertex position."""
+        names = self.vertices
+        pairs = ((i, j) for i, mask in enumerate(self.adjacency) for j in _bits(mask) if i < j)
+        return frozenset((names[i], names[j]) for i, j in pairs)
 
 
 class TreeDecomposition(Value):
@@ -76,25 +88,18 @@ class ValidationResult(Value):
         return self.ok
 
 
-def gaifman(structure: Structure, include_functions: bool = False) -> Graph:
+def gaifman(structure: Structure) -> Graph:
     """The Gaifman graph: an edge joins distinct elements sharing a relation tuple.
 
-    Function and constant symbols contribute nothing by default; with
-    `include_functions` every function table row (arguments plus value) is
-    treated like a relation tuple.
+    Relations alone make edges; function and constant symbols make none.
     """
-    names = structure.universe
-    tuples = [row for table in structure.relations.values() for row in table]
-    if include_functions:
-        for table in structure.functions.values():
-            tuples.extend(args + (value,) for args, value in table.items())
-    edges = set()
-    for row in tuples:
-        for i, u in enumerate(row):
-            for v in row[i + 1:]:
-                if u != v:
-                    edges.add((names[min(u, v)], names[max(u, v)]))
-    return Graph.from_edges(names, edges)
+    adjacency = [0] * len(structure.universe)
+    for row in chain.from_iterable(structure.relations.values()):
+        members = sum({1 << i for i in row})  # distinct bits, so their sum is their OR
+        for i in row:
+            adjacency[i] |= members
+    masks = tuple(mask & ~(1 << i) for i, mask in enumerate(adjacency))
+    return Graph(structure.universe, masks)
 
 
 # --- treewidth ---------------------------------------------------------------
@@ -102,17 +107,6 @@ def gaifman(structure: Structure, include_functions: bool = False) -> Graph:
 # Bit u of adj[v] is set iff uv is an edge.  Eliminating a vertex clears its
 # bit in its neighbours' masks and joins them into a clique; `_bits` lists
 # the set positions of a mask.
-
-def _index_adjacency(graph: Graph) -> list[int]:
-    """The adjacency masks of `graph`, indexed by vertex position."""
-    position = {v: i for i, v in enumerate(graph.vertices)}
-    adj = [0] * len(graph.vertices)
-    for u, v in graph.edges:
-        i, j = position[u], position[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
 
 def _fill(adj: list[int], neighbors: int) -> int:
     """The missing edges among `neighbors`: the pairs not adjacent in `adj`."""
@@ -203,7 +197,7 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), frozenset())
 
-    full = _index_adjacency(graph)
+    full = list(graph.adjacency)
     best = _min_fill_order(full)
     if _minor_min_width(full) < best[0]:
         best = _branch(full, (1 << n) - 1, -1, [], {}, best)
@@ -254,7 +248,7 @@ def treewidth_greedy(graph: Graph) -> tuple[int, TreeDecomposition]:
     """Min-fill heuristic upper bound with its (always valid) decomposition."""
     if not graph.vertices:
         return -1, TreeDecomposition((frozenset(),), frozenset())
-    width, steps = _min_fill_order(_index_adjacency(graph))
+    width, steps = _min_fill_order(list(graph.adjacency))
     return width, _decomposition_from_order(graph, steps)
 
 
@@ -357,9 +351,12 @@ def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> Va
 #     bag 1: F7 C1 09
 #     edge 0 1
 #
-# Vertex labels are read back as strings.
+# Vertex labels are read back as strings, so a label whose `str` is empty or
+# holds white space or `#` is refused.
 
 def decomposition_to_text(decomposition: TreeDecomposition) -> str:
+    labels = map(str, chain.from_iterable(decomposition.bags))
+    _check_writable(labels, ("#",), GraphError, "decomposition")
     lines = []
     for i, bag in enumerate(decomposition.bags):
         members = " ".join(sorted(str(v) for v in bag))

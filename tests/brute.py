@@ -4,8 +4,9 @@ These implementations deliberately share no code with the package: DPLL
 cross-checks the exhaustive SAT oracle, full permutation search and a
 subset recurrence cross-check the branch-and-bound treewidth, min-fill and
 minor-min-width on adjacency sets cross-check the package's versions on
-adjacency masks, subset enumeration cross-checks team properties, and a
-literal line-by-line reader cross-checks the team-file loader.
+adjacency masks, label pairs cross-check the Gaifman graph's masks, subset
+enumeration cross-checks team properties, and a literal line-by-line
+reader cross-checks the team-file loader.
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ def fo_view_of_pdl(formula):
     from teamcheck import Structure
 
     return Structure(("0", "1"), relations={"TRUE": (1, [("1",)])}), formula
+
+
+def gaifman_edges(structure) -> frozenset:
+    """The Gaifman graph's edges as label pairs, ordered by universe position.
+
+    Each relation tuple joins every two distinct members; functions and
+    constants join nothing.
+    """
+    names = structure.universe
+    edges = set()
+    for table in structure.relations.values():
+        for row in table:
+            for u, v in itertools.combinations(row, 2):
+                if u != v:
+                    edges.add((names[min(u, v)], names[max(u, v)]))
+    return frozenset(edges)
 
 
 def set_adjacency(graph: Graph) -> dict[int, set[int]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -16,10 +17,11 @@ from teamcheck import (
     treewidth_greedy,
     validate_decomposition,
 )
-from teamcheck.graph import _index_adjacency, _min_fill_order, _minor_min_width
+from teamcheck.graph import _min_fill_order, _minor_min_width
 
 from brute import (
     decomposition_by_replay,
+    gaifman_edges,
     min_fill_order_by_sets,
     minor_min_width_by_sets,
     treewidth_by_orders,
@@ -73,12 +75,47 @@ def test_gaifman_skips_repeated_elements_in_a_tuple():
     assert not gaifman(structure).edges
 
 
-def test_gaifman_function_edges_are_opt_in():
+def test_gaifman_function_tables_contribute_no_edges():
     structure = Structure(
         ["a", "b"], functions={"f": (1, {"a": "b", "b": "a"})}
     )
     assert not gaifman(structure).edges
-    assert edge_sets(gaifman(structure, include_functions=True)) == {frozenset({"a", "b"})}
+
+
+def gaifman_corpus():
+    """300 seeded structures of 1 to 24 elements: up to three relations of
+    arity 1 to 3 whose tuples repeat members, and some function tables and
+    constants, which make no edges."""
+    rng = random.Random(25)
+    for _ in range(300):
+        size = rng.randint(1, 24)
+        universe = [f"e{i}" for i in range(size)]
+        relations = {}
+        for r in range(rng.randint(0, 3)):
+            arity = rng.randint(1, 3)
+            count = rng.randint(0, 2 * size)
+            rows = [tuple(rng.choice(universe) for _ in range(arity)) for _ in range(count)]
+            relations[f"R{r}"] = (arity, rows)
+        functions = {}
+        if rng.random() < 0.5:
+            functions["f"] = (1, {(e,): rng.choice(universe) for e in universe})
+        constants = {"c": rng.choice(universe)} if rng.random() < 0.5 else {}
+        yield Structure(universe, relations, functions, constants)
+
+
+def test_gaifman_masks_match_the_label_pair_oracle():
+    with_functions = 0
+    for structure in gaifman_corpus():
+        graph = gaifman(structure)
+        assert graph.vertices == structure.universe
+        assert graph.edges == gaifman_edges(structure)
+        masks = graph.adjacency
+        for i, mask in enumerate(masks):
+            assert not mask >> i & 1
+            assert all(masks[j] >> i & 1 for j in range(len(masks)) if mask >> j & 1)
+        assert Graph.from_edges(graph.vertices, graph.edges) == graph
+        with_functions += bool(structure.functions)
+    assert with_functions >= 100
 
 
 # --- exact treewidth ---------------------------------------------------------------
@@ -173,11 +210,11 @@ def partial_k_tree(rng: random.Random, n: int, k: int, drop: float) -> Graph:
 
 
 def minor_min_width(graph: Graph) -> int:
-    return _minor_min_width(_index_adjacency(graph))
+    return _minor_min_width(list(graph.adjacency))
 
 
 def min_fill_width(graph: Graph) -> int:
-    return _min_fill_order(_index_adjacency(graph))[0]
+    return _min_fill_order(list(graph.adjacency))[0]
 
 
 def oracle_graphs() -> list[Graph]:
@@ -268,7 +305,7 @@ def elimination_order(decomposition: TreeDecomposition, graph: Graph) -> list[in
 def test_mask_heuristics_match_the_set_oracles():
     searched = 0
     for graph in heuristic_oracle_graphs():
-        adj = _index_adjacency(graph)
+        adj = list(graph.adjacency)
         width, steps = _min_fill_order(adj)
         order = [v for v, _ in steps]
         assert (width, order) == min_fill_order_by_sets(graph)
@@ -446,6 +483,12 @@ def test_decomposition_text_errors():
         decomposition_from_text("bag \u00b2: a\n")
     with pytest.raises(GraphError, match="^line 2: bad edge line$"):
         decomposition_from_text("bag 0: a\nedge 0 \u00b2\n")
+    # a label that would not read back as itself is refused when written;
+    # an int label is written as its str
+    assert decomposition_to_text(TreeDecomposition([{0, 1}], [])) == "bag 0: 0 1\n"
+    for label in ("a b", "#d", ""):
+        with pytest.raises(GraphError, match="cannot be written to a decomposition file"):
+            decomposition_to_text(TreeDecomposition([{label, "c"}, {"c"}], [(0, 1)]))
 
 
 def test_graph_constructor_rejects_bad_edges():
@@ -453,3 +496,7 @@ def test_graph_constructor_rejects_bad_edges():
         Graph.from_edges(["a"], [("a", "a")])
     with pytest.raises(GraphError, match="unknown endpoint"):
         Graph.from_edges(["a"], [("a", "b")])
+    for edge in [("a",), ("a", "b", "c"), 5]:
+        message = f"^edge {re.escape(repr(edge))} is not a pair of vertices$"
+        with pytest.raises(GraphError, match=message):
+            Graph.from_edges(["a", "b", "c"], [edge])

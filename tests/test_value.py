@@ -135,6 +135,9 @@ def test_repr_strings():
         == "ValidationResult(ok=False, violation='bag 0 is empty')"
     )
     assert repr(Vocabulary()) == "Vocabulary(relations={}, functions={}, constants=frozenset())"
+    assert repr(Graph.from_edges("ab", [("a", "b")])) == (
+        "Graph(vertices=('a', 'b'), adjacency=(2, 1))"
+    )
 
 
 def test_keyword_and_default_construction():
@@ -191,6 +194,10 @@ def test_constructors_normalize_their_fields():
     assert decomposition.tree_edges == frozenset({(0, 1)})
     vocab = Vocabulary(relations=(("R", 2),), constants=["c"])
     assert vocab.relations == {"R": 2} and vocab.constants == frozenset({"c"})
+    # a graph stores one adjacency mask per vertex; its edges are derived
+    assert Graph._fields == ("vertices", "adjacency")
+    graph = Graph.from_edges("abc", [("b", "a")])
+    assert graph.adjacency == (2, 1, 0) and graph.edges == frozenset({("a", "b")})
 
 
 def test_values_copy_and_pickle():
