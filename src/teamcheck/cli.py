@@ -152,8 +152,7 @@ def cmd_check(args) -> int:
         pair = find_dep_violation(structure, team, formula)
         if pair is not None:
             for tag, assignment in zip(("witness_row1", "witness_row2"), pair):
-                named = assignment.named(structure)
-                print(f"{tag}=" + " ".join(named[v] for v in team.domain))
+                print(f"{tag}=" + " ".join(map(structure.element_name, assignment.values)))
     return EXIT_SAT if outcome.satisfied else EXIT_UNSAT
 
 
@@ -172,15 +171,14 @@ def cmd_reduce(args) -> int:
     else:
         structure, team, formula = reduce_pdl(parse_pdl(text))
     prefix = args.output_prefix
-    paths = {
-        "structure": Path(f"{prefix}.structure"),
-        "team": Path(f"{prefix}.team"),
-        "formula": Path(f"{prefix}.formula"),
+    texts = {
+        Path(f"{prefix}.structure"): structure_to_text(structure),
+        Path(f"{prefix}.team"): team_to_text(team, structure),
+        Path(f"{prefix}.formula"): pretty(formula) + "\n",
     }
-    paths["structure"].write_text(structure_to_text(structure))
-    paths["team"].write_text(team_to_text(team, structure))
-    paths["formula"].write_text(pretty(formula) + "\n")
-    for path in paths.values():
+    for path, text in texts.items():
+        path.write_text(text)
+    for path in texts:
         print(path)
     return EXIT_SAT
 
@@ -273,16 +271,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
 
     check = sub.add_parser("check", help="decide whether the team satisfies the formula")
-    check.add_argument("structure_file")
-    check.add_argument("team_file")
-    check.add_argument("formula_file")
+    params = sub.add_parser("params", help="report the nine instance parameters")
+    for p in (check, params):
+        for name in ("structure_file", "team_file", "formula_file"):
+            p.add_argument(name)
     add_engine_flags(check, "auto")
     check.set_defaults(func=cmd_check)
-
-    params = sub.add_parser("params", help="report the nine instance parameters")
-    params.add_argument("structure_file")
-    params.add_argument("team_file")
-    params.add_argument("formula_file")
     params.set_defaults(func=cmd_params)
 
     reduce_p = sub.add_parser("reduce", help="emit a model-checking instance")

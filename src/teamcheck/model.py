@@ -365,6 +365,8 @@ def parse_structure(text: str) -> Structure:
             if not m:
                 raise StructureError(f"line {lineno}: bad constant declaration")
             _declare(constants, "constant", m.group(1), m.group(2), lineno)
+        elif not colon and word in ("universe", "relation", "function"):
+            raise StructureError(f"line {lineno}: directive {word!r} is missing its ':'")
         else:
             raise StructureError(f"line {lineno}: unrecognized directive {word!r}")
     if universe is None:

@@ -33,7 +33,6 @@ from .syntax import (
     atom_terms,
     parse_formula,
     subformulas,
-    tokenize,
     FormulaSyntaxError,
     _IDENT,
     _infix,
@@ -265,10 +264,7 @@ class _PDLParser(_Parser):
 
 
 def parse_pdl(text: str) -> Formula:
-    parser = _PDLParser(tokenize(text), len(text))
-    formula = parser.disj()
-    parser.expect_end()
-    return formula
+    return _PDLParser.parse(text)
 
 
 def pretty_pdl(formula: Formula) -> str:

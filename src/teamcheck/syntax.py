@@ -213,10 +213,6 @@ def subterms(term: Term) -> Iterator[Term]:
         yield t
 
 
-def term_variables(term: Term) -> Iterator[str]:
-    return (t.name for t in subterms(term) if isinstance(t, Var))
-
-
 def atom_terms(formula: Formula) -> tuple[Term, ...]:
     if isinstance(formula, Equality):
         return (formula.left, formula.right)
@@ -231,7 +227,9 @@ def _own_variables(f: Formula) -> set[str]:
     """The variables one node names itself: a quantifier's, or an atom's terms'."""
     if isinstance(f, (Exists, Forall)):
         return {f.var}
-    return {v for term in atom_terms(f) for v in term_variables(term)}
+    return {
+        t.name for term in atom_terms(f) for t in subterms(term) if isinstance(t, Var)
+    }
 
 
 def _own_size(f: Formula) -> int:
@@ -360,6 +358,16 @@ class _Parser:
         self.end = end
         self.vocab = vocab
 
+    @classmethod
+    def parse(cls, text: str, vocab: Vocabulary = EMPTY_VOCABULARY) -> Formula:
+        """The formula that is the whole of `text`."""
+        parser = cls(tokenize(text), len(text), vocab)
+        formula = parser.disj()
+        if parser.i < len(parser.tokens):
+            tok, pos = parser.tokens[parser.i]
+            raise FormulaSyntaxError(f"unexpected token {tok!r} after formula", pos)
+        return formula
+
     def _peek(self, ahead: int = 0) -> str | None:
         j = self.i + ahead
         return self.tokens[j][0] if j < len(self.tokens) else None
@@ -377,11 +385,6 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}, found {tok!r}", pos)
         return pos
 
-    def expect_end(self) -> None:
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise FormulaSyntaxError(f"unexpected token {tok!r} after formula", pos)
-
     def _items(self, item) -> list:
         """One or more `item()` results separated by commas."""
         items = [item()]
@@ -389,6 +392,17 @@ class _Parser:
             self._next()
             items.append(item())
         return items
+
+    def _arguments(self, symbol: str, arity: int, pos: int) -> tuple[Term, ...]:
+        """The parenthesized terms after `symbol`, which must number `arity`."""
+        self._expect("(")
+        args = self._items(self.term)
+        self._expect(")")
+        if len(args) != arity:
+            raise FormulaSyntaxError(
+                f"{symbol} expects {arity} arguments, got {len(args)}", pos
+            )
+        return tuple(args)
 
     def disj(self) -> Formula:
         node = self.conj()
@@ -454,15 +468,8 @@ class _Parser:
             raise FormulaSyntaxError(f"expected a relation atom, found {tok!r}", pos)
         if tok not in self.vocab.relations:
             raise FormulaSyntaxError(f"unknown relation symbol {tok!r}", pos)
-        self._expect("(")
-        args = self._items(self.term)
-        self._expect(")")
-        arity = self.vocab.relations[tok]
-        if len(args) != arity:
-            raise FormulaSyntaxError(
-                f"relation {tok!r} expects {arity} arguments, got {len(args)}", pos
-            )
-        return RelAtom(tok, tuple(args), negated)
+        args = self._arguments(f"relation {tok!r}", self.vocab.relations[tok], pos)
+        return RelAtom(tok, args, negated)
 
     def depatom(self) -> DepAtom:
         self._expect("=")
@@ -478,15 +485,8 @@ class _Parser:
         if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
             raise FormulaSyntaxError(f"expected a term, found {tok!r}", pos)
         if tok in self.vocab.functions:
-            self._expect("(")
-            args = self._items(self.term)
-            self._expect(")")
-            arity = self.vocab.functions[tok]
-            if len(args) != arity:
-                raise FormulaSyntaxError(
-                    f"function {tok!r} expects {arity} arguments, got {len(args)}", pos
-                )
-            return Func(tok, tuple(args))
+            args = self._arguments(f"function {tok!r}", self.vocab.functions[tok], pos)
+            return Func(tok, args)
         if tok in self.vocab.constants:
             return Const(tok)
         if tok in self.vocab.relations:
@@ -503,7 +503,4 @@ def parse_formula(text: str, vocab: Vocabulary = EMPTY_VOCABULARY) -> Formula:
     errors, grammar violations, unknown symbols, arity mismatches, and
     negation applied to anything but a relation atom.
     """
-    parser = _Parser(tokenize(text), len(text), vocab)
-    formula = parser.disj()
-    parser.expect_end()
-    return formula
+    return _Parser.parse(text, vocab)

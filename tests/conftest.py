@@ -29,6 +29,14 @@ def cyclic_garbage(call, *args):
         gc.enable()
 
 
+def outcome(call):
+    """What `call()` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def load_flight_instance() -> tuple[Structure, Team]:
     structure = parse_structure((DATA / "flights.structure").read_text())
     team = parse_team((DATA / "flights.team").read_text(), structure)

@@ -489,6 +489,13 @@ def test_bench_bad_range_exits_two(capsys):
         assert capsys.readouterr().err == f"error: bad range {value_range!r}, expected LO..HI\n"
 
 
+def test_bench_universe_of_no_elements_exits_two(capsys):
+    assert run_cli("bench", "--family", "universe-size", "--range", "0..2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: universe-size values must be at least 1\n"
+
+
 def test_bench_reversed_range_exits_two(capsys):
     # LO > HI would bench nothing; a one-value range LO == HI stays valid
     assert run_cli("bench", "--family", "team-size", "--range", "5..2") == 2

@@ -17,7 +17,7 @@ from teamcheck import (
     treewidth_greedy,
     validate_decomposition,
 )
-from teamcheck.graph import _min_fill_order, _minor_min_width
+from teamcheck.graph import ValidationResult, _min_fill_order, _minor_min_width
 
 from brute import (
     decomposition_by_replay,
@@ -27,7 +27,12 @@ from brute import (
     treewidth_by_orders,
     treewidth_by_subsets,
 )
-from conftest import DEPARTURES_EDGES, cyclic_garbage, departures_reference_decomposition
+from conftest import (
+    DEPARTURES_EDGES,
+    cyclic_garbage,
+    departures_reference_decomposition,
+    outcome,
+)
 from depgen import random_structure
 
 
@@ -500,3 +505,58 @@ def test_graph_constructor_rejects_bad_edges():
         message = f"^edge {re.escape(repr(edge))} is not a pair of vertices$"
         with pytest.raises(GraphError, match=message):
             Graph.from_edges(["a", "b", "c"], [edge])
+
+
+PATH_AB = Graph.from_edges(["a", "b"], [("a", "b")])
+EMPTY_GRAPH = Graph.from_edges([], [])
+ONE_EMPTY_BAG = TreeDecomposition([frozenset()], [])
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: Graph.from_edges(["a", "b", "a"], []),
+            (GraphError, "duplicate vertices"),
+            id="repeated-vertex",
+        ),
+        pytest.param(
+            lambda: validate_decomposition(PATH_AB, TreeDecomposition([], [])),
+            ValidationResult(False, "decomposition has no bags"),
+            id="no-bags",
+        ),
+        pytest.param(
+            lambda: validate_decomposition(EMPTY_GRAPH, TreeDecomposition([], [])),
+            ValidationResult(True),
+            id="no-bags-for-no-vertices",
+        ),
+        pytest.param(
+            lambda: validate_decomposition(PATH_AB, TreeDecomposition([{"a", "b"}], [(0, 1)])),
+            ValidationResult(False, "tree edge (0,1) references a missing bag"),
+            id="edge-to-missing-bag",
+        ),
+        pytest.param(
+            lambda: validate_decomposition(PATH_AB, TreeDecomposition([{"a", "b"}], [(0, 0)])),
+            ValidationResult(False, "tree edge (0,0) is a self-loop"),
+            id="self-loop-edge",
+        ),
+        pytest.param(
+            lambda: decomposition_from_text("bag 0: a\nbag 0: b\n"),
+            (GraphError, "line 2: duplicate bag 0"),
+            id="duplicate-bag",
+        ),
+        pytest.param(
+            lambda: decomposition_from_text("bag 0: a\nnode 1\n"),
+            (GraphError, "line 2: unrecognized directive 'node'"),
+            id="unknown-directive",
+        ),
+        pytest.param(
+            lambda: treewidth_exact(EMPTY_GRAPH), (-1, ONE_EMPTY_BAG), id="exact-empty-graph"
+        ),
+        pytest.param(
+            lambda: treewidth_greedy(EMPTY_GRAPH), (-1, ONE_EMPTY_BAG), id="greedy-empty-graph"
+        ),
+    ],
+)
+def test_graph_input_errors_and_empty_graph(call, expected):
+    assert outcome(call) == expected

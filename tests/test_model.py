@@ -21,6 +21,7 @@ from teamcheck import (
 from teamcheck import model
 
 from brute import team_file_by_lines
+from conftest import outcome
 from depgen import random_structure, random_team
 
 
@@ -342,6 +343,58 @@ def test_parse_structure_accepts_repeated_function_entry():
 def test_parse_structure_rejects_unknown_directive():
     with pytest.raises(StructureError, match="unrecognized"):
         parse_structure("universe: a\npredicate R/1: (a)\n")
+
+
+@pytest.mark.parametrize(
+    "line", ["universe a b", "relation R/1 (a)", "function f/1 a->b b->a"]
+)
+def test_parse_structure_names_a_directive_missing_its_colon(line):
+    message = f"line 1: directive {line.split()[0]!r} is missing its ':'"
+    assert outcome(lambda: parse_structure(line + "\n")) == (StructureError, message)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: Structure(["a"], functions={"f": (2, {"a": "a"})}),
+            (StructureError, "function 'f' entry ('a',) does not have arity 2"),
+            id="function-entry-arity",
+        ),
+        pytest.param(
+            lambda: Structure(["a"], relations={"R": (1, [])}, constants={"R": "a"}),
+            (StructureError, "symbol 'R' declared more than once"),
+            id="relation-and-constant-share-a-name",
+        ),
+        pytest.param(
+            lambda: Assignment(("x",), (0,))["y"],
+            (TeamError, "variable 'y' is not bound by this assignment"),
+            id="unbound-variable",
+        ),
+        pytest.param(
+            lambda: parse_structure("universe: a\nrelation R: (a)\n"),
+            (StructureError, "line 2: bad relation declaration 'relation R'"),
+            id="relation-without-arity",
+        ),
+        pytest.param(
+            lambda: parse_structure("universe: a\nuniverse: b\n"),
+            (StructureError, "line 2: duplicate universe line"),
+            id="second-universe",
+        ),
+        pytest.param(
+            lambda: parse_structure("universe: a\nfunction f/1: a->a b\n"),
+            (StructureError, "line 2: stray text in function entries"),
+            id="stray-function-text",
+        ),
+        pytest.param(
+            lambda: parse_structure("universe: a\nconstant c a\n"),
+            (StructureError, "line 2: bad constant declaration"),
+            id="constant-without-equals",
+        ),
+    ],
+)
+def test_structure_input_errors(call, expected):
+    assert outcome(call) == expected
 
 
 def test_parse_team_round_trip(flight_instance):

@@ -15,6 +15,7 @@ from teamcheck import (
     FormulaSyntaxError,
     Or,
     RelAtom,
+    Team,
     Var,
     Vocabulary,
     analyze,
@@ -38,7 +39,7 @@ from teamcheck import (
 )
 
 from brute import dpll
-from conftest import cyclic_garbage
+from conftest import cyclic_garbage, outcome
 from depgen import random_cnf, random_pdl
 
 
@@ -379,3 +380,62 @@ def test_pdl_team_semantics_matches_first_order_view():
         )
         for engine in (Engine.NAIVE, Engine.OPTIMIZED):
             assert check(structure, team, fo, engine) is pdl_check(rows, f)
+
+
+ONE_CLAUSE = CNF(3, [(1, 2, 3)])
+
+
+def _valuation_of_team(cnf: CNF, domain: tuple[str, ...], rows: list[tuple[str, ...]]):
+    structure, _, _ = reduce_3sat(ONE_CLAUSE)
+    return extract_valuation(cnf, structure, Team.from_named_rows(domain, rows, structure))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: parse_dimacs("p cnf 1\n"),
+            (CNFError, "line 1: bad DIMACS header 'p cnf 1'"),
+            id="header-of-three-fields",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf x 1\n"),
+            (CNFError, "line 1: bad DIMACS header 'p cnf x 1'"),
+            id="header-count-not-a-number",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf 3 1\np cnf 3 1\n1 2 3 0\n"),
+            (CNFError, "line 2: duplicate DIMACS header"),
+            id="duplicate-header",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("c no header\n"),
+            (CNFError, "missing DIMACS header"),
+            id="missing-header",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf 3 1\n1 2 x 0\n"),
+            (CNFError, "line 2: bad literal 'x'"),
+            id="bad-literal",
+        ),
+        pytest.param(
+            lambda: _valuation_of_team(ONE_CLAUSE, ("x",), [("p1",)]),
+            (ValueError, "team does not have the reduced-instance shape"),
+            id="valuation-team-shape",
+        ),
+        pytest.param(
+            lambda: _valuation_of_team(
+                CNF(3, [(1, 2, 3)] * 2), ("x", "y", "u", "v"), [("p1", "1", "1", "0")]
+            ),
+            (ValueError, "team does not cover the CNF's clause indices"),
+            id="valuation-clause-range",
+        ),
+        pytest.param(
+            lambda: pdl_check([{"p": 2}], parse_pdl("p")),
+            (ValueError, "proposition 'p' has non-boolean value 2"),
+            id="pdl-non-boolean-value",
+        ),
+    ],
+)
+def test_reduction_input_errors(call, expected):
+    assert outcome(call) == expected

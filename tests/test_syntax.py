@@ -26,6 +26,7 @@ from teamcheck import (
 )
 from teamcheck.syntax import subformulas, subterms
 
+from conftest import outcome
 from depgen import random_formula, random_structure
 
 R2 = Vocabulary(relations={"R": 2})
@@ -233,3 +234,17 @@ def test_pretty_parse_round_trip_on_random_formulas():
         structure = random_structure(rng)
         f = random_formula(rng, structure, ["x", "y", "z"], depth=4)
         assert parse_formula(pretty(f), structure.vocabulary()) == f
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("exists forall x = x", "expected a variable name, found 'forall' (at position 7)"),
+        ("exists R R(x,x)", "cannot quantify over declared symbol 'R' (at position 7)"),
+        ("x = x &", "unexpected end of input (at position 7)"),
+        ("!Q(x)", "unknown relation symbol 'Q' (at position 1)"),
+        ("f(x) = x", "function 'f' expects 2 arguments, got 1 (at position 0)"),
+    ],
+)
+def test_formula_input_errors(text, message):
+    assert outcome(lambda: parse_formula(text, TERMS)) == (FormulaSyntaxError, message)
