@@ -282,6 +282,7 @@ class Team(Value):
 _DECL = re.compile(r"(relation|function)\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$")
 _GROUP = re.compile(r"\(([^()]*)\)")
 _FUNC_ENTRY = re.compile(r"(\(([^()]*)\)|[^\s()]+?)\s*->\s*([^\s()]+)")
+_DIRECTIVE = re.compile(r"[^\s:]*")  # a line's first word, up to white space or ':'
 _CONSTANT = re.compile(r"constant\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*$")
 _BLOCK = 256  # lines parse_team splits at a time: 64 is as fast, 4,096 is slower
 
@@ -326,8 +327,10 @@ def parse_structure(text: str) -> Structure:
     constants: dict[str, str] = {}
     for lineno, line in _content_lines(text):
         head, colon, rest = line.partition(":")
-        word = line.split(None, 1)[0]
-        if colon and head.strip() == "universe":
+        word = _DIRECTIVE.match(line).group()
+        if colon and word == "universe":
+            if head.rstrip() != "universe":
+                raise StructureError(f"line {lineno}: bad universe line {head!r}")
             if universe is not None:
                 raise StructureError(f"line {lineno}: duplicate universe line")
             universe = rest.split()

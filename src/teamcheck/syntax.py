@@ -463,9 +463,8 @@ class _Parser:
     def relatom(self, negated: bool) -> RelAtom:
         tok, pos = self._next()
         if not _IDENT.fullmatch(tok) or tok in KEYWORDS:
-            if negated:
-                raise FormulaSyntaxError("negation is only allowed on relation atoms", pos)
-            raise FormulaSyntaxError(f"expected a relation atom, found {tok!r}", pos)
+            # only after '!': `atom` calls here on a declared relation name
+            raise FormulaSyntaxError("negation is only allowed on relation atoms", pos)
         if tok not in self.vocab.relations:
             raise FormulaSyntaxError(f"unknown relation symbol {tok!r}", pos)
         args = self._arguments(f"relation {tok!r}", self.vocab.relations[tok], pos)

@@ -12,9 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from teamcheck import Structure, Team, cli, parse_formula
+from teamcheck import (
+    Structure, Team, cli, parse_formula, pretty, structure_to_text, team_to_text,
+)
 
-from conftest import DATA, SRC, cyclic_garbage
+from conftest import DATA, SRC, cyclic_garbage, outcome
 
 
 def run_cli(*argv: str) -> int:
@@ -411,6 +413,152 @@ def test_reduce_bad_input_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("reduce", "pdl", bad, str(tmp_path / "x")) == 2
     assert "found 'TRUE' (at position 8)" in capsys.readouterr().err
+
+
+# --- output files ----------------------------------------------------------------
+#
+# `reduce` and `bench --out` write over an existing file's bytes instead of
+# truncating it first; each case compares the result with `Path.write_text`.
+
+_CNF = "p cnf 4 3\n1 2 3 0\n-1 2 4 0\n-2 -3 -4 0\n"
+_SUFFIXES = (".structure", ".team", ".formula")
+
+
+def _reduced_texts() -> list[str]:
+    from teamcheck.reductions import parse_dimacs, reduce_3sat
+
+    structure, team, formula = reduce_3sat(parse_dimacs(_CNF))
+    return [structure_to_text(structure), team_to_text(team, structure), pretty(formula) + "\n"]
+
+
+@pytest.mark.parametrize("old", ["#" * 5000 + "\n", "x\n"], ids=["longer", "shorter"])
+def test_reduce_writes_over_existing_outputs(tmp_path, capsys, old):
+    cnf = write(tmp_path / "in.cnf", _CNF)
+    for side in ("out", "ref"):
+        for suffix in _SUFFIXES:
+            path = tmp_path / (side + suffix)
+            path.write_text(old)
+            path.chmod(0o640)
+            os.link(path, tmp_path / (side + suffix + ".link"))
+    before = [(tmp_path / ("out" + s)).stat().st_ino for s in _SUFFIXES]
+    assert run_cli("reduce", "3sat", cnf, str(tmp_path / "out")) == 0
+    assert capsys.readouterr().out.split() == [str(tmp_path / ("out" + s)) for s in _SUFFIXES]
+    for suffix, text, inode in zip(_SUFFIXES, _reduced_texts(), before):
+        ref = tmp_path / ("ref" + suffix)
+        ref.write_text(text, encoding="utf-8")
+        out = tmp_path / ("out" + suffix)
+        assert out.read_bytes() == ref.read_bytes() == text.encode()
+        assert (tmp_path / ("out" + suffix + ".link")).read_bytes() == ref.read_bytes()
+        stat, ref_stat = out.stat(), ref.stat()
+        assert stat.st_ino == inode
+        assert (stat.st_mode, stat.st_nlink) == (ref_stat.st_mode, ref_stat.st_nlink)
+
+
+def test_reduce_writes_through_a_symlinked_output(tmp_path, capsys):
+    cnf = write(tmp_path / "in.cnf", _CNF)
+    target = tmp_path / "target"
+    target.write_text("#" * 5000 + "\n")
+    (tmp_path / "out.team").symlink_to(target)
+    assert run_cli("reduce", "3sat", cnf, str(tmp_path / "out")) == 0
+    assert (tmp_path / "out.team").is_symlink()
+    ref = tmp_path / "ref"
+    ref.write_text(_reduced_texts()[1], encoding="utf-8")
+    assert target.read_bytes() == ref.read_bytes()
+
+
+def test_new_outputs_get_the_mode_write_text_gives(tmp_path, capsys):
+    cnf = write(tmp_path / "in.cnf", _CNF)
+    umask = os.umask(0o002)
+    try:
+        assert run_cli("reduce", "3sat", cnf, str(tmp_path / "out")) == 0
+        assert run_cli(
+            "bench", "--family", "splits", "--range", "0..1", "--out", str(tmp_path / "b.csv")
+        ) == 0
+        (tmp_path / "ref").write_text("x\n", encoding="utf-8")
+    finally:
+        os.umask(umask)
+    expected = (tmp_path / "ref").stat().st_mode
+    assert expected & 0o777 == 0o664
+    for name in ("out.structure", "out.team", "out.formula", "b.csv"):
+        assert (tmp_path / name).stat().st_mode == expected, name
+
+
+def test_bench_out_to_dev_null_exits_zero(capsys):
+    assert run_cli("bench", "--family", "splits", "--range", "0..1", "--out", os.devnull) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["reduce", "bench"])
+def test_output_path_that_is_a_directory_exits_two(tmp_path, capsys, command):
+    cnf = write(tmp_path / "in.cnf", _CNF)
+    if command == "reduce":
+        directory = tmp_path / "out.structure"
+        argv = ("reduce", "3sat", cnf, str(tmp_path / "out"))
+    else:
+        directory = tmp_path / "b.csv"
+        argv = ("bench", "--family", "splits", "--range", "0..1", "--out", str(directory))
+    directory.mkdir()
+    error, message = outcome(lambda: directory.write_text("x\n", encoding="utf-8"))
+    assert error is IsADirectoryError
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_write_that_fails_partway_leaves_no_old_bytes(tmp_path):
+    # a 64-byte file size limit stops each write partway; what a failed write
+    # leaves is the written prefix of the new text, as with `Path.write_text`,
+    # not that prefix followed by the old file's tail
+    cnf = write(tmp_path / "in.cnf", _CNF)
+    for name in ("out.team", "ref"):
+        (tmp_path / name).write_text("#" * 5000 + "\n", encoding="utf-8")
+    script = (
+        "import resource, sys\n"
+        "from pathlib import Path\n"
+        "from teamcheck import cli\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (64, resource.RLIM_INFINITY))\n"
+        "try:\n"
+        "    Path(sys.argv[1]).write_text(sys.argv[2], encoding='utf-8')\n"
+        "except OSError:\n"
+        "    pass\n"
+        "sys.exit(cli.main(sys.argv[3:]))\n"
+    )
+    text = _reduced_texts()[1]
+    assert len(text) > 64
+    result = subprocess.run(
+        [
+            sys.executable, "-c", script, str(tmp_path / "ref"), text,
+            "reduce", "3sat", cnf, str(tmp_path / "out"),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and "File too large" in result.stderr
+    ref = (tmp_path / "ref").read_bytes()
+    assert ref == text.encode()[:64]
+    assert (tmp_path / "out.team").read_bytes() == ref
+
+
+def test_no_command_writes_with_the_locale_encoding(tmp_path):
+    # every file a command reads or writes is UTF-8, whatever the locale
+    commands = _commands(tmp_path)
+    out = str(tmp_path / "b.csv")
+    runs = [
+        commands["check-opt-unsat"],
+        commands["params"],
+        commands["reduce-3sat"],
+        (("bench", "--family", "splits", "--range", "0..2", "--out", out), 0),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, code in runs:
+        result = subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                "-m", "teamcheck.cli", *argv,
+            ],
+            env=env, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (code, ""), argv
 
 
 # --- bench ---------------------------------------------------------------------

@@ -354,6 +354,23 @@ def test_parse_structure_names_a_directive_missing_its_colon(line):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("universe x: a\n", "line 1: bad universe line 'universe x'"),
+        ("universe: a\nconstant: c = a\n", "line 2: bad constant declaration"),
+        ("universe: a\nrelation: (a)\n", "line 2: bad relation declaration 'relation'"),
+        ("universe: a\nfunction:f/1: a->a\n", "line 2: bad function declaration 'function'"),
+        ("universe: a\npredicate: p\n", "line 2: unrecognized directive 'predicate'"),
+    ],
+    ids=["universe", "constant", "relation", "function", "unrecognized"],
+)
+def test_parse_structure_names_a_directive_with_text_at_its_colon(text, message):
+    # the directive is the first word up to white space or ':', so text
+    # between it and its ':' (or a ':' glued to it) is an error of that directive
+    assert outcome(lambda: parse_structure(text)) == (StructureError, message)
+
+
+@pytest.mark.parametrize(
     "call, expected",
     [
         pytest.param(
