@@ -13,7 +13,6 @@ import gc
 import os
 import sys
 import time
-from importlib import import_module
 from pathlib import Path
 
 from .evaluator import (
@@ -45,32 +44,25 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 10_000_000
-TREEWIDTH_LIMIT = 20
-
-# The names `params` and `reduce` use from the two modules a `check` never
-# runs, by module.  `_bind` imports each module and binds its names here on
-# first use, so a `check` compiles neither.
-_DEFERRED = {
-    "graph": ("gaifman", "treewidth_exact", "treewidth_greedy"),
-    "reductions": ("parse_dimacs", "parse_pdl", "reduce_3sat", "reduce_pdl"),
-}
 
 
 def _bind(module: str) -> None:
-    """Bind `module`'s deferred names in this module, importing it on first
-    use.  A name already bound stays, such as one a tracer has rebound."""
+    """Bind here the names the package defers to `module`, so that a `check`
+    compiles neither `graph` nor `reductions`.  A name already bound stays,
+    such as one a tracer has rebound."""
+    package = sys.modules[__package__]
     scope = globals()
-    for name in _DEFERRED[module]:
-        if name not in scope:
-            scope[name] = getattr(import_module(f".{module}", __package__), name)
+    for name, home in package._DEFERRED.items():
+        if home == module and name not in scope:
+            scope[name] = getattr(package, name)
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = sys.modules[__package__]._DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(home)
+    return globals()[name]
 
 
 _ENGINES = {
@@ -105,14 +97,14 @@ class ParameterReport(Value):
 
 
 def build_report(structure: Structure, team: Team, formula: Formula) -> ParameterReport:
-    """All nine parameters; treewidth is exact up to `TREEWIDTH_LIMIT` vertices."""
+    """All nine parameters; treewidth is exact where `treewidth_exact` takes the graph."""
     _bind("graph")
     params = analyze(formula)
     graph = gaifman(structure)
-    if len(graph.vertices) <= TREEWIDTH_LIMIT:
-        treewidth, _ = treewidth_exact(graph, TREEWIDTH_LIMIT)
+    try:
+        treewidth, _ = treewidth_exact(graph)
         exact = True
-    else:
+    except GraphError:  # too many vertices for the exact search
         treewidth, _ = treewidth_greedy(graph)
         exact = False
     return ParameterReport(

@@ -180,17 +180,22 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
 
 # --- input checks ------------------------------------------------------------
 
+def _check_symbol(kind: str, arities: dict, symbol: RelAtom | Func) -> None:
+    """Raise unless `symbol` is interpreted with as many arguments as its arity."""
+    arity = arities.get(symbol.name)
+    if arity is None:
+        raise ValueError(f"{kind} {symbol.name!r} is not interpreted")
+    if arity != len(symbol.args):
+        raise ValueError(f"{kind} {symbol.name!r} used with wrong arity")
+
+
 def _check_term(term: Term, structure: Structure) -> None:
     for t in subterms(term):  # preorder: a function before its arguments
         if isinstance(t, Const):
             if t.name not in structure.constants:
                 raise ValueError(f"constant {t.name!r} is not interpreted")
         elif isinstance(t, Func):
-            arity = structure.function_arities.get(t.name)
-            if arity is None:
-                raise ValueError(f"function {t.name!r} is not interpreted")
-            if arity != len(t.args):
-                raise ValueError(f"function {t.name!r} used with wrong arity")
+            _check_symbol("function", structure.vocabulary().functions, t)
 
 
 def _validate(structure: Structure, team: Team, formula: Formula) -> None:
@@ -200,11 +205,7 @@ def _validate(structure: Structure, team: Team, formula: Formula) -> None:
         raise ValueError(f"team domain is missing free variables {sorted(missing)}")
     for f in subformulas(formula):  # atoms left to right: the leftmost error wins
         if isinstance(f, RelAtom):
-            arity = structure.relation_arities.get(f.name)
-            if arity is None:
-                raise ValueError(f"relation {f.name!r} is not interpreted")
-            if arity != len(f.args):
-                raise ValueError(f"relation {f.name!r} used with wrong arity")
+            _check_symbol("relation", structure.vocabulary().relations, f)
         for term in atom_terms(f):
             _check_term(term, structure)
 

@@ -180,7 +180,11 @@ def _minor_min_width(adj: list[int]) -> int:
     return bound
 
 
-def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecomposition]:
+# the most vertices `treewidth_exact` searches, whose time is exponential in them
+EXACT_LIMIT = 20
+
+
+def treewidth_exact(graph: Graph) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a certifying decomposition.
 
     Branch and bound over elimination orderings, seeded with the greedy
@@ -188,12 +192,12 @@ def treewidth_exact(graph: Graph, limit: int = 20) -> tuple[int, TreeDecompositi
     prefix width that reached them, eliminating a simplicial vertex never
     branches, and prefixes that cannot strictly improve on the incumbent
     are cut.  The search is skipped when the minor-min-width lower bound
-    already meets the min-fill width, which is then optimal.  Vertex counts
-    above `limit` are refused.
+    already meets the min-fill width, which is then optimal.  A graph of
+    more than `EXACT_LIMIT` vertices is refused with `GraphError`.
     """
     n = len(graph.vertices)
-    if n > limit:
-        raise GraphError(f"graph has {n} vertices; exact treewidth is capped at {limit}")
+    if n > EXACT_LIMIT:
+        raise GraphError(f"graph has {n} vertices; exact treewidth is capped at {EXACT_LIMIT}")
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), frozenset())
 

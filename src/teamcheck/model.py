@@ -13,7 +13,7 @@ from contextlib import suppress
 from itertools import chain, compress, count, islice, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .syntax import Vocabulary, _arity_problem
+from .syntax import _IDENT, Vocabulary, _arity_problem
 from .value import Value, new_value
 
 
@@ -51,7 +51,6 @@ class Structure:
             self._index[name] = i
 
         self.relations: dict[str, frozenset[tuple[int, ...]]] = {}
-        self.relation_arities: dict[str, int] = {}
         index = self._index.__getitem__
         for name, (arity, rows) in (relations or {}).items():
             rows = list(rows)
@@ -70,10 +69,8 @@ class Structure:
                         )
                     tuple(map(self.element_index, row))
             self.relations[name] = table
-            self.relation_arities[name] = arity
 
         self.functions: dict[str, dict[tuple[int, ...], int]] = {}
-        self.function_arities: dict[str, int] = {}
         for name, (arity, table) in (functions or {}).items():
             indexed: dict[tuple[int, ...], int] = {}
             for key, value in dict(table).items():
@@ -88,7 +85,6 @@ class Structure:
                     named = tuple(self.universe[i] for i in args)
                     raise StructureError(f"function {name!r} is not total: missing {named!r}")
             self.functions[name] = indexed
-            self.function_arities[name] = arity
 
         self.constants: dict[str, int] = {
             name: self.element_index(value) for name, value in (constants or {}).items()
@@ -96,8 +92,8 @@ class Structure:
 
         try:
             self._vocabulary = Vocabulary(
-                relations=dict(self.relation_arities),
-                functions=dict(self.function_arities),
+                relations={name: arity for name, (arity, _) in (relations or {}).items()},
+                functions={name: arity for name, (arity, _) in (functions or {}).items()},
                 constants=frozenset(self.constants),
             )
         except ValueError as exc:
@@ -279,11 +275,11 @@ class Team(Value):
 #
 # Team file: a header line of variable names, then one value row per line.
 
-_DECL = re.compile(r"(relation|function)\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$")
+_DECL = re.compile(rf"(relation|function)\s+({_IDENT.pattern})\s*/\s*([0-9]+)\s*$")
 _GROUP = re.compile(r"\(([^()]*)\)")
 _FUNC_ENTRY = re.compile(r"(\(([^()]*)\)|[^\s()]+?)\s*->\s*([^\s()]+)")
 _DIRECTIVE = re.compile(r"[^\s:]*")  # a line's first word, up to white space or ':'
-_CONSTANT = re.compile(r"constant\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*$")
+_CONSTANT = re.compile(rf"constant\s+({_IDENT.pattern})\s*=\s*(\S+)\s*$")
 _BLOCK = 256  # lines parse_team splits at a time: 64 is as fast, 4,096 is slower
 
 
@@ -387,15 +383,16 @@ def _check_writable(names: Iterable[str], forbidden: tuple, error: type, kind: s
 def structure_to_text(structure: Structure) -> str:
     _check_writable(structure.universe, ("#", "(", ")", ",", "->"), StructureError, "structure")
     lines = ["universe: " + " ".join(structure.universe)]
+    vocab = structure.vocabulary()
     for name in sorted(structure.relations):
-        arity = structure.relation_arities[name]
+        arity = vocab.relations[name]
         rows = sorted(structure.relations[name])
         rendered = " ".join(
             "(" + ",".join(structure.element_name(i) for i in row) + ")" for row in rows
         )
         lines.append(f"relation {name}/{arity}: {rendered}".rstrip())
     for name in sorted(structure.functions):
-        arity = structure.function_arities[name]
+        arity = vocab.functions[name]
         entries = []
         for args in sorted(structure.functions[name]):
             value = structure.functions[name][args]

@@ -19,6 +19,7 @@ nonempty-team satisfiability.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .model import Structure, Team
@@ -44,6 +45,10 @@ from .value import Value, new_value
 
 class CNFError(ValueError):
     """Malformed CNF or DIMACS input."""
+
+
+# a DIMACS count or literal; int() alone also reads '+3', '1_0' and other scripts' digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class CNF(Value):
@@ -81,18 +86,16 @@ def parse_dimacs(text: str) -> CNF:
                 raise CNFError(f"line {lineno}: bad DIMACS header {line!r}")
             if num_vars is not None:
                 raise CNFError(f"line {lineno}: duplicate DIMACS header")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise CNFError(f"line {lineno}: bad DIMACS header {line!r}") from None
+            if not (_INTEGER.fullmatch(parts[2]) and _INTEGER.fullmatch(parts[3])):
+                raise CNFError(f"line {lineno}: bad DIMACS header {line!r}")
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
             raise CNFError(f"line {lineno}: clause before DIMACS header")
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise CNFError(f"line {lineno}: bad literal {token!r}") from None
+            if not _INTEGER.fullmatch(token):
+                raise CNFError(f"line {lineno}: bad literal {token!r}")
+            lit = int(token)
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending.clear()

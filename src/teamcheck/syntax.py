@@ -29,7 +29,7 @@ from .value import Value, new_value
 KEYWORDS = frozenset({"forall", "exists"})
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[()=,;|&!]")
+_TOKEN = re.compile(_IDENT.pattern + r"|[()=,;|&!]")
 
 
 class FormulaSyntaxError(ValueError):

@@ -38,13 +38,13 @@ def outcome(call):
 
 
 def load_flight_instance() -> tuple[Structure, Team]:
-    structure = parse_structure((DATA / "flights.structure").read_text())
-    team = parse_team((DATA / "flights.team").read_text(), structure)
+    structure = parse_structure((DATA / "flights.structure").read_text(encoding="utf-8"))
+    team = parse_team((DATA / "flights.team").read_text(encoding="utf-8"), structure)
     return structure, team
 
 
 def load_departures_structure() -> Structure:
-    return parse_structure((DATA / "depsmall.structure").read_text())
+    return parse_structure((DATA / "depsmall.structure").read_text(encoding="utf-8"))
 
 
 # Edges of the Gaifman graph of the ten-element departures fragment,

@@ -94,7 +94,7 @@ def random_atom(
         return Equality(random_term(rng, structure, pool), random_term(rng, structure, pool))
     if kind == "rel":
         name = rng.choice(sorted(structure.relations))
-        arity = structure.relation_arities[name]
+        arity = structure.vocabulary().relations[name]
         args = tuple(random_term(rng, structure, pool) for _ in range(arity))
         return RelAtom(name, args, negated=rng.random() < 0.3)
     antecedent = tuple(

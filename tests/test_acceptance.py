@@ -522,7 +522,7 @@ def _bench_nodes(tmp_path, engine: str) -> list[int]:
         ]
     )
     assert rc == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert all(r[5] == "ok" for r in rows)
     return [int(r[3]) for r in rows]
 

@@ -24,7 +24,7 @@ def run_cli(*argv: str) -> int:
 
 
 def write(path: Path, text: str) -> str:
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -183,7 +183,7 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
 
 def test_commented_team_file_reads_like_the_plain_one(tmp_path, capsys):
     structure = str(DATA / "flights.structure")
-    commented = (DATA / "flights.team").read_text()
+    commented = (DATA / "flights.team").read_text(encoding="utf-8")
     assert commented.startswith("\n\n#") and " # " in commented.splitlines()[-1]
     contents = [line.partition("#")[0].strip() for line in commented.splitlines()]
     plain = write(tmp_path / "plain.team", "\n".join(filter(None, contents)) + "\n")
@@ -357,14 +357,15 @@ def test_reduce_single_clause_team_file(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     rc = run_cli("reduce", "3sat", dimacs, prefix)
     assert rc == 0
-    team_lines = Path(f"{prefix}.team").read_text().splitlines()
+    team_lines = Path(f"{prefix}.team").read_text(encoding="utf-8").splitlines()
     assert team_lines[0].split() == ["x", "y", "u", "v"]
     assert {tuple(line.split()) for line in team_lines[1:]} == {
         ("p1", "1", "1", "0"),
         ("p2", "0", "1", "1"),
         ("p3", "0", "1", "2"),
     }
-    assert Path(f"{prefix}.formula").read_text().strip() == "=(x;y) | =(u;v) | =(u;v)"
+    formula = Path(f"{prefix}.formula").read_text(encoding="utf-8")
+    assert formula.strip() == "=(x;y) | =(u;v) | =(u;v)"
 
 
 def test_reduce_then_check_round_trip(tmp_path, capsys):
@@ -382,7 +383,7 @@ def test_reduce_pdl_formula_file(tmp_path, capsys):
     prefix = str(tmp_path / "pdl")
     rc = run_cli("reduce", "pdl", source, prefix)
     assert rc == 0
-    assert Path(f"{prefix}.formula").read_text().strip() == "exists x1 TRUE(x1)"
+    assert Path(f"{prefix}.formula").read_text(encoding="utf-8").strip() == "exists x1 TRUE(x1)"
     assert run_cli("check", f"{prefix}.structure", f"{prefix}.team", f"{prefix}.formula") == 0
 
 
@@ -437,7 +438,7 @@ def test_reduce_writes_over_existing_outputs(tmp_path, capsys, old):
     for side in ("out", "ref"):
         for suffix in _SUFFIXES:
             path = tmp_path / (side + suffix)
-            path.write_text(old)
+            path.write_text(old, encoding="utf-8")
             path.chmod(0o640)
             os.link(path, tmp_path / (side + suffix + ".link"))
     before = [(tmp_path / ("out" + s)).stat().st_ino for s in _SUFFIXES]
@@ -457,7 +458,7 @@ def test_reduce_writes_over_existing_outputs(tmp_path, capsys, old):
 def test_reduce_writes_through_a_symlinked_output(tmp_path, capsys):
     cnf = write(tmp_path / "in.cnf", _CNF)
     target = tmp_path / "target"
-    target.write_text("#" * 5000 + "\n")
+    target.write_text("#" * 5000 + "\n", encoding="utf-8")
     (tmp_path / "out.team").symlink_to(target)
     assert run_cli("reduce", "3sat", cnf, str(tmp_path / "out")) == 0
     assert (tmp_path / "out.team").is_symlink()
@@ -530,7 +531,7 @@ def test_a_write_that_fails_partway_leaves_no_old_bytes(tmp_path):
             "reduce", "3sat", cnf, str(tmp_path / "out"),
         ],
         env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error: ") and "File too large" in result.stderr
@@ -556,7 +557,7 @@ def test_no_command_writes_with_the_locale_encoding(tmp_path):
                 sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
                 "-m", "teamcheck.cli", *argv,
             ],
-            env=env, capture_output=True, text=True,
+            env=env, capture_output=True, encoding="utf-8",
         )
         assert (result.returncode, result.stderr) == (code, ""), argv
 
@@ -570,7 +571,7 @@ def test_bench_csv_shape_and_monotone_nodes(tmp_path):
         "--engine", "opt", "--out", str(out_path),
     )
     assert rc == 0
-    lines = out_path.read_text().splitlines()
+    lines = out_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "param,value,engine,nodes,millis,status"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == ["2", "3", "4", "5", "6"]
@@ -598,7 +599,8 @@ def test_bench_deterministic_modulo_timing(tmp_path):
             rows.append(",".join(parts))
         return rows
 
-    assert strip_millis(paths[0].read_text()) == strip_millis(paths[1].read_text())
+    first, second = (strip_millis(path.read_text(encoding="utf-8")) for path in paths)
+    assert first == second
 
 
 def test_bench_budget_rows_are_marked(tmp_path):
@@ -608,7 +610,7 @@ def test_bench_budget_rows_are_marked(tmp_path):
         "--engine", "naive", "--budget", "100", "--out", str(out_path),
     )
     assert rc == 0
-    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in out_path.read_text(encoding="utf-8").splitlines()[1:]]
     statuses = {r[1]: r[5] for r in rows}
     assert statuses["2"] == "ok"
     assert statuses["8"] == "budget-exceeded"
@@ -625,7 +627,7 @@ def test_bench_families_monotone_nodes(tmp_path, family, value_range):
         "bench", "--family", family, "--range", value_range,
         "--engine", "naive", "--out", str(out_path),
     ) == 0
-    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in out_path.read_text(encoding="utf-8").splitlines()[1:]]
     nodes = [int(r[3]) for r in rows]
     assert nodes == sorted(nodes)
 
@@ -696,7 +698,7 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_readme_library_example_prints_true(capsys):
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(code, {})
@@ -708,7 +710,7 @@ def fresh_python(code: str, *args: str) -> str:
     this checkout's `teamcheck`."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, encoding="utf-8",
         check=True,
     ).stdout
 
@@ -836,6 +838,22 @@ def test_public_names_resolve_to_their_defining_modules():
     assert sum(map(len, PUBLIC_NAMES.values())) == 61
     out = fresh_python(API_PROBE, json.dumps(PUBLIC_NAMES))
     assert json.loads(out) == [[], False]
+
+
+DEFERRED_PROBE = """
+import json
+import teamcheck
+from teamcheck import cli
+names = list(teamcheck._DEFERRED)
+wrong = [name for name in names if getattr(cli, name, None) is not getattr(teamcheck, name)]
+print(json.dumps([len(names), wrong, hasattr(cli, "no_such_name")]))
+"""
+
+
+def test_cli_binds_every_deferred_name_as_the_package_does():
+    # cli reads the package's one table of deferred names: each resolves
+    # through cli, before the package resolved it, to the package's object
+    assert json.loads(fresh_python(DEFERRED_PROBE)) == [23, [], False]
 
 
 # --- the cyclic collector ------------------------------------------------------

@@ -421,17 +421,19 @@ def test_uninterpreted_symbol_is_an_error(pair):
         ("R(g(c),x) | S(c)", "function 'g' is not interpreted"),
         ("R(c,g(x))", "constant 'c' is not interpreted"),
         ("x = y & S(f(x,x))", "function 'f' used with wrong arity"),
+        ("P(g(x),y) | S(f(x,x))", "relation 'P' used with wrong arity"),
     ],
 )
 def test_symbol_check_precedence_on_nested_terms(text, message):
-    # the outer function is checked before its arguments, the leftmost atom first
+    # the outer function is checked before its arguments, a relation before
+    # its terms, the leftmost atom first
     structure = Structure(
         ("0", "1"),
-        relations={"R": (2, []), "S": (1, [])},
+        relations={"P": (1, []), "R": (2, []), "S": (1, [])},
         functions={"f": (1, {("0",): "1", ("1",): "0"})},
     )
     vocab = Vocabulary(
-        relations={"R": 2, "S": 1}, functions={"f": 2, "g": 1}, constants={"c"}
+        relations={"P": 2, "R": 2, "S": 1}, functions={"f": 2, "g": 1}, constants={"c"}
     )
     team = Team.from_named_rows(("x", "y"), [("0", "1")], structure)
     with pytest.raises(ValueError, match=message):
@@ -652,7 +654,7 @@ def _exits_three(tmp_path, structure, team, formula, engine, budget):
     texts = (structure_to_text(structure), team_to_text(team, structure), pretty(formula) + "\n")
     paths = [tmp_path / name for name in ("s", "t", "f")]
     for path, text in zip(paths, texts):
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     argv = ["check", *map(str, paths), "--engine", engine, "--budget", str(budget)]
     return cli.main(argv) == 3
 

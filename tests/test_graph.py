@@ -331,11 +331,10 @@ def test_mask_heuristics_match_the_set_oracles():
 
 
 def test_exact_respects_vertex_limit():
-    big = Graph.from_edges(range(25), [])
-    with pytest.raises(GraphError, match="capped"):
-        treewidth_exact(big, limit=20)
-    width, _ = treewidth_exact(big, limit=30)
+    width, _ = treewidth_exact(Graph.from_edges(range(20), []))
     assert width == 0
+    with pytest.raises(GraphError, match="graph has 21 vertices; exact treewidth is capped at 20"):
+        treewidth_exact(Graph.from_edges(range(21), []))
 
 
 # --- greedy upper bound ---------------------------------------------------------------

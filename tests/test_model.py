@@ -393,6 +393,17 @@ def test_parse_structure_names_a_directive_with_text_at_its_colon(text, message)
             (StructureError, "line 2: bad relation declaration 'relation R'"),
             id="relation-without-arity",
         ),
+        # an arity is ASCII digits; int() alone reads other scripts' digits
+        pytest.param(
+            lambda: parse_structure("universe: a\nrelation R/\uff11: (a)\n"),
+            (StructureError, "line 2: bad relation declaration 'relation R/\uff11'"),
+            id="arity-fullwidth-digit",
+        ),
+        pytest.param(
+            lambda: parse_structure("universe: a\nrelation R/\u0661: (a)\n"),
+            (StructureError, "line 2: bad relation declaration 'relation R/\u0661'"),
+            id="arity-arabic-indic-digit",
+        ),
         pytest.param(
             lambda: parse_structure("universe: a\nuniverse: b\n"),
             (StructureError, "line 2: duplicate universe line"),

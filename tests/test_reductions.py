@@ -418,6 +418,27 @@ def _valuation_of_team(cnf: CNF, domain: tuple[str, ...], rows: list[tuple[str, 
             (CNFError, "line 2: bad literal 'x'"),
             id="bad-literal",
         ),
+        # numbers are ASCII digits with an optional '-'; int() alone reads these
+        pytest.param(
+            lambda: parse_dimacs("p cnf 3 1_0\n"),
+            (CNFError, "line 1: bad DIMACS header 'p cnf 3 1_0'"),
+            id="header-count-with-underscore",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf \uff13 1\n1 2 3 0\n"),
+            (CNFError, "line 1: bad DIMACS header 'p cnf \uff13 1'"),
+            id="header-count-fullwidth-digit",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf 3 1\n+3 1 2 0\n"),
+            (CNFError, "line 2: bad literal '+3'"),
+            id="literal-with-plus-sign",
+        ),
+        pytest.param(
+            lambda: parse_dimacs("p cnf 3 1\n\u0661 2 3 0\n"),
+            (CNFError, "line 2: bad literal '\u0661'"),
+            id="literal-arabic-indic-digit",
+        ),
         pytest.param(
             lambda: _valuation_of_team(ONE_CLAUSE, ("x",), [("p1",)]),
             (ValueError, "team does not have the reduced-instance shape"),

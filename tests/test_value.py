@@ -228,7 +228,7 @@ print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules), calls)
 def test_importing_the_command_line_generates_no_code():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-S", "-c", IMPORT_PROBE], env=env, capture_output=True, encoding="utf-8",
         check=True,
     ).stdout
     assert out.strip() == "[] []"
