@@ -32,6 +32,7 @@ from .model import (
 from .syntax import (
     DepAtom,
     Formula,
+    _NUMBER,
     analyze,
     parse_formula,
     pretty,
@@ -225,7 +226,7 @@ def _bench_instance(family: str, value: int) -> tuple[Structure, Team, Formula]:
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not (sep and text.isascii() and lo.isdigit() and hi.isdigit()) or int(lo) > int(hi):
+    if not (sep and _NUMBER.fullmatch(lo) and _NUMBER.fullmatch(hi)) or int(lo) > int(hi):
         raise ValueError(f"bad range {text!r}, expected LO..HI")
     return range(int(lo), int(hi) + 1)
 

@@ -55,6 +55,7 @@ from collections import defaultdict
 from enum import Enum
 from functools import reduce
 from operator import itemgetter, ne, or_
+from typing import Mapping
 
 from .model import Assignment, Structure, Team, _extension
 from .syntax import (
@@ -148,13 +149,10 @@ def _term_reader(term: Term, st: Structure, pos: dict):
 
 def _tuple_reader(terms, st: Structure, pos: dict):
     """A function from a row to the terms' values, always as a tuple."""
+    # itemgetter of one index returns a bare value, not a 1-tuple
     if len(terms) > 1 and all(isinstance(t, Var) for t in terms):
         return itemgetter(*[pos[t.name] for t in terms])
-    # itemgetter of one index returns a bare value, not a 1-tuple
     readers = [_term_reader(t, st, pos) for t in terms]
-    if len(readers) == 1:
-        (read,) = readers
-        return lambda row: (read(row),)
     return lambda row: tuple([read(row) for read in readers])
 
 
@@ -180,7 +178,7 @@ def _literal_test(f: Formula, st: Structure, pos: dict):
 
 # --- input checks ------------------------------------------------------------
 
-def _check_symbol(kind: str, arities: dict, symbol: RelAtom | Func) -> None:
+def _check_symbol(kind: str, arities: Mapping[str, int], symbol: RelAtom | Func) -> None:
     """Raise unless `symbol` is interpreted with as many arguments as its arity."""
     arity = arities.get(symbol.name)
     if arity is None:
@@ -189,25 +187,22 @@ def _check_symbol(kind: str, arities: dict, symbol: RelAtom | Func) -> None:
         raise ValueError(f"{kind} {symbol.name!r} used with wrong arity")
 
 
-def _check_term(term: Term, structure: Structure) -> None:
-    for t in subterms(term):  # preorder: a function before its arguments
-        if isinstance(t, Const):
-            if t.name not in structure.constants:
-                raise ValueError(f"constant {t.name!r} is not interpreted")
-        elif isinstance(t, Func):
-            _check_symbol("function", structure.vocabulary().functions, t)
-
-
 def _validate(structure: Structure, team: Team, formula: Formula) -> None:
     """Check the formula against the team and the structure."""
     missing = free_variables(formula) - set(team.domain)
     if missing:
         raise ValueError(f"team domain is missing free variables {sorted(missing)}")
+    vocab = structure.vocabulary()
     for f in subformulas(formula):  # atoms left to right: the leftmost error wins
         if isinstance(f, RelAtom):
-            _check_symbol("relation", structure.vocabulary().relations, f)
+            _check_symbol("relation", vocab.relations, f)
         for term in atom_terms(f):
-            _check_term(term, structure)
+            for t in subterms(term):  # preorder: a function before its arguments
+                if isinstance(t, Const):
+                    if t.name not in vocab.constants:
+                        raise ValueError(f"constant {t.name!r} is not interpreted")
+                elif isinstance(t, Func):
+                    _check_symbol("function", vocab.functions, t)
 
 
 # --- naive engine ------------------------------------------------------------
@@ -300,14 +295,13 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
 class _Registry:
     """The rows met over one variable domain, numbered as they appear."""
 
-    __slots__ = ("domain", "pos", "rows", "index", "ext", "memos")
+    __slots__ = ("domain", "pos", "rows", "index", "memos")
 
     def __init__(self, domain: tuple, pos: dict, rows: list):
         self.domain = domain
         self.pos = pos
         self.rows = rows
         self.index: dict | None = None  # row -> number, built on first need
-        self.ext: dict = {}  # var -> (child domain, extend, per-row child numbers)
         self.memos: defaultdict = defaultdict(dict)  # subformula -> {mask: result}
 
     def number(self, row: tuple) -> int:
@@ -378,17 +372,10 @@ def _mask_of(numbers, width: int) -> int:
 def _extension_table(run: _Run, reg: _Registry, var: str):
     """The registry for quantifying `var` over rows of `reg`, and a
     function from a mask to the child row numbers per value of each row of
-    `reg`, numbered up to the mask's highest bit.
-
-    `reg.ext` keeps the child's domain, not the child: where `var` is in
-    `reg`'s domain the child is `reg` itself."""
-    entry = reg.ext.get(var)
-    if entry is None:
-        domain, pos, extend = _extension(reg.domain, reg.pos, var)
-        run.registries.setdefault(domain, _Registry(domain, pos, []))
-        entry = reg.ext[var] = (domain, extend, [])
-    domain, extend, numbers = entry
-    child, values, rows = run.registries[domain], range(run.structure.size), reg.rows
+    `reg`, numbered up to the mask's highest bit."""
+    domain, pos, extend = _extension(reg.domain, reg.pos, var)
+    child = run.registries.setdefault(domain, _Registry(domain, pos, []))
+    values, rows, numbers = range(run.structure.size), reg.rows, []
 
     def numbered(mask: int) -> list:
         for row in rows[len(numbers):mask.bit_length()]:

@@ -12,6 +12,7 @@ from typing import Iterable
 
 from .evaluator import _bits
 from .model import Structure, _check_writable, _content_lines
+from .syntax import _NUMBER
 from .value import Value, new_value
 
 
@@ -355,8 +356,8 @@ def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> Va
 #     bag 1: F7 C1 09
 #     edge 0 1
 #
-# Vertex labels are read back as strings, so a label whose `str` is empty or
-# holds white space or `#` is refused.
+# A bag's index and its ':' are one word.  Vertex labels read back as strings,
+# so a label whose `str` is empty or holds white space or `#` is refused.
 
 def decomposition_to_text(decomposition: TreeDecomposition) -> str:
     labels = map(str, chain.from_iterable(decomposition.bags))
@@ -376,15 +377,14 @@ def decomposition_from_text(text: str) -> TreeDecomposition:
     for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "bag":
-            # ASCII only: str.isdigit also accepts a superscript two, which int() rejects
-            if len(parts) < 2 or not (parts[1].isascii() and parts[1].rstrip(":").isdigit()):
+            if len(parts) < 2 or parts[1][-1:] != ":" or not _NUMBER.fullmatch(parts[1][:-1]):
                 raise GraphError(f"line {lineno}: bad bag line")
-            index = int(parts[1].rstrip(":"))
+            index = int(parts[1][:-1])
             if index in bags:
                 raise GraphError(f"line {lineno}: duplicate bag {index}")
             bags[index] = frozenset(parts[2:])
         elif parts[0] == "edge":
-            if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not all(map(_NUMBER.fullmatch, parts[1:])):
                 raise GraphError(f"line {lineno}: bad edge line")
             edges.append((int(parts[1]), int(parts[2])))
         else:

@@ -13,7 +13,7 @@ from contextlib import suppress
 from itertools import chain, compress, count, islice, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .syntax import _IDENT, Vocabulary, _arity_problem
+from .syntax import _IDENT, _NUMBER, Vocabulary, _arity_problem
 from .value import Value, new_value
 
 
@@ -275,7 +275,7 @@ class Team(Value):
 #
 # Team file: a header line of variable names, then one value row per line.
 
-_DECL = re.compile(rf"(relation|function)\s+({_IDENT.pattern})\s*/\s*([0-9]+)\s*$")
+_DECL = re.compile(rf"(relation|function)\s+({_IDENT.pattern})\s*/\s*({_NUMBER.pattern})\s*$")
 _GROUP = re.compile(r"\(([^()]*)\)")
 _FUNC_ENTRY = re.compile(r"(\(([^()]*)\)|[^\s()]+?)\s*->\s*([^\s()]+)")
 _DIRECTIVE = re.compile(r"[^\s:]*")  # a line's first word, up to white space or ':'

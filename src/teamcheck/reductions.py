@@ -36,6 +36,7 @@ from .syntax import (
     subformulas,
     FormulaSyntaxError,
     _IDENT,
+    _NUMBER,
     _infix,
     _Parser,
     KEYWORDS,
@@ -47,8 +48,8 @@ class CNFError(ValueError):
     """Malformed CNF or DIMACS input."""
 
 
-# a DIMACS count or literal; int() alone also reads '+3', '1_0' and other scripts' digits
-_INTEGER = re.compile(r"-?[0-9]+")
+# a DIMACS count or literal
+_INTEGER = re.compile(rf"-?{_NUMBER.pattern}")
 
 
 class CNF(Value):

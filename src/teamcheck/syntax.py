@@ -22,6 +22,7 @@ atoms; negated equalities and negated dependence atoms are rejected.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .value import Value, new_value
@@ -30,16 +31,19 @@ KEYWORDS = frozenset({"forall", "exists"})
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(_IDENT.pattern + r"|[()=,;|&!]")
+# a count or index in input text; int() also reads '+3', '1_0' and other scripts' digits
+_NUMBER = re.compile(r"[0-9]+")
 
 
 class FormulaSyntaxError(ValueError):
     """Lexical, grammatical, or vocabulary error in formula text."""
 
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, message: str, position: int):
+        super().__init__(message, position)  # both, so that copy and pickle can call it again
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at position {self.position})"
 
 
 def _arity_problem(name: str, arity: int) -> str | None:
@@ -53,8 +57,8 @@ def _arity_problem(name: str, arity: int) -> str | None:
 class Vocabulary(Value):
     """Declared relation, function, and constant symbols.
 
-    Relation and function symbols carry an arity of at least one; the
-    three name spaces must not overlap and must avoid the keywords.
+    Relation and function symbols carry an arity of at least one in a
+    read-only table; the name spaces must not overlap or be keywords.
     """
 
     __slots__ = ()
@@ -80,7 +84,15 @@ class Vocabulary(Value):
             problem = _arity_problem(name, arity)
             if problem:
                 raise ValueError(problem)
-        return new_value(cls, (cls, relations, functions, constants))
+        tables = MappingProxyType(relations), MappingProxyType(functions)
+        return new_value(cls, (cls, *tables, constants))
+
+    def __hash__(self) -> int:  # a read-only table does not hash itself
+        relations, functions = frozenset(self.relations.items()), frozenset(self.functions.items())
+        return hash((relations, functions, self.constants))
+
+    def __getnewargs__(self) -> tuple:  # nor does it copy or pickle
+        return dict(self.relations), dict(self.functions), self.constants
 
 
 EMPTY_VOCABULARY = Vocabulary()
@@ -350,9 +362,7 @@ class _Parser:
 
     QUANTIFIERS = {"exists": Exists, "forall": Forall}
 
-    def __init__(
-        self, tokens: list[tuple[str, int]], end: int, vocab: Vocabulary = EMPTY_VOCABULARY
-    ):
+    def __init__(self, tokens: list[tuple[str, int]], end: int, vocab: Vocabulary):
         self.tokens = tokens
         self.i = 0
         self.end = end

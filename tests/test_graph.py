@@ -487,6 +487,10 @@ def test_decomposition_text_errors():
         decomposition_from_text("bag \u00b2: a\n")
     with pytest.raises(GraphError, match="^line 2: bad edge line$"):
         decomposition_from_text("bag 0: a\nedge 0 \u00b2\n")
+    # the index and its ':' are one word, as decomposition_to_text writes them
+    for line in ("bag 0 : a b", "bag 0 a b", "bag 0:: a"):
+        with pytest.raises(GraphError, match="^line 1: bad bag line$"):
+            decomposition_from_text(line + "\n")
     # a label that would not read back as itself is refused when written;
     # an int label is written as its str
     assert decomposition_to_text(TreeDecomposition([{0, 1}], [])) == "bag 0: 0 1\n"

@@ -31,6 +31,7 @@ from teamcheck import (
     Graph,
     Or,
     RelAtom,
+    Structure,
     SyntacticParams,
     Team,
     TeamError,
@@ -39,6 +40,7 @@ from teamcheck import (
     Var,
     Vocabulary,
     parse_formula,
+    structure_to_text,
 )
 from teamcheck.cli import ParameterReport
 from teamcheck.value import Value
@@ -106,9 +108,7 @@ def test_equal_values_hash_alike():
     assert first == second and hash(first) == hash(second)
     assert {first: 1}[second] == 1
     for value, twin in zip(_one_of_each(), _one_of_each()):
-        assert value == twin
-        if not isinstance(value, Vocabulary):  # its dict fields are unhashable
-            assert hash(value) == hash(twin)
+        assert value == twin and hash(value) == hash(twin)
     assert Team(["x"], [[0]]) == Team(("x",), frozenset({(0,)}))
 
 
@@ -126,6 +126,24 @@ def test_values_are_immutable():
         assert not hasattr(value, "__dict__")
 
 
+def test_vocabulary_arities_are_read_only():
+    # a structure's vocabulary is the one holder of its arities
+    s = Structure(
+        ["a", "b"], relations={"E": (2, [("a", "b")])}, functions={"f": (1, {"a": "b", "b": "a"})}
+    )
+    vocab = s.vocabulary()
+    for twin in (vocab, copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))):
+        with pytest.raises(TypeError):
+            twin.relations["E"] = 3
+        with pytest.raises(TypeError):
+            del twin.functions["f"]
+        assert not hasattr(twin.relations, "update")
+        assert twin.relations["E"] == 2 and "E" in twin.relations
+        assert twin.relations.get("F") is None and twin.functions == {"f": 1}
+        assert hash(twin) == hash(vocab)
+    assert structure_to_text(s).splitlines()[1] == "relation E/2: (a,b)"
+
+
 def test_repr_strings():
     assert repr(REL) == "RelAtom(name='R', args=(Var(name='x'),), negated=False)"
     assert repr(Team(("x", "y"), {(0, 1)})) == "Team(domain=('x', 'y'), rows=frozenset({(0, 1)}))"
@@ -134,7 +152,9 @@ def test_repr_strings():
         repr(ValidationResult(False, "bag 0 is empty"))
         == "ValidationResult(ok=False, violation='bag 0 is empty')"
     )
-    assert repr(Vocabulary()) == "Vocabulary(relations={}, functions={}, constants=frozenset())"
+    assert repr(Vocabulary()) == (
+        "Vocabulary(relations=mappingproxy({}), functions=mappingproxy({}), constants=frozenset())"
+    )
     assert repr(Graph.from_edges("ab", [("a", "b")])) == (
         "Graph(vertices=('a', 'b'), adjacency=(2, 1))"
     )
