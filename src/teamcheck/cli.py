@@ -325,6 +325,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: formula is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         if enabled:
             gc.enable()

@@ -53,7 +53,7 @@ import itertools
 import sys
 from collections import defaultdict
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from operator import itemgetter, ne, or_
 from typing import Mapping
 
@@ -91,9 +91,12 @@ class BudgetExceededError(RuntimeError):
     """The evaluation exceeded its node-expansion budget."""
 
     def __init__(self, budget: int):
-        super().__init__(f"work budget of {budget} node expansions exceeded")
+        super().__init__(budget)  # the budget, so that copy and pickle can call it again
         self.budget = budget
         self.expansions = budget + 1
+
+    def __str__(self) -> str:
+        return f"work budget of {self.budget} node expansions exceeded"
 
 
 class CheckOutcome(Value):
@@ -259,15 +262,7 @@ def _naive(run: _Run, f: Formula, domain: tuple, pos: dict, rows: frozenset) -> 
         rows_list = sorted(rows)
         # nonempty value sets per row, decoded from bitmasks on demand so the
         # budget can fire before memory does on large universes
-        decoded: dict[int, tuple[int, ...]] = {}
-
-        def values_of(mask: int) -> tuple[int, ...]:
-            values = decoded.get(mask)
-            if values is None:
-                values = tuple(a for a in range(st.size) if mask >> a & 1)
-                decoded[mask] = values
-            return values
-
+        values_of = cache(lambda mask: tuple(a for a in range(st.size) if mask >> a & 1))
         for combo in itertools.product(
             range(1, 1 << st.size), repeat=len(rows_list)
         ):
@@ -669,8 +664,7 @@ def find_dep_violation(
     violated = set(itertools.compress(keys, map(ne, map(first.setdefault, keys, values), values)))
     if not violated:
         return None
-    suspects = list(itertools.compress(rows, map(violated.__contains__, keys)))
-    row1 = min(suspects)
-    a1, c1 = antecedent(row1), consequent(row1)
-    row2 = min(row for row in suspects if antecedent(row) == a1 and consequent(row) != c1)
+    suspects = list(itertools.compress(zip(rows, keys, values), map(violated.__contains__, keys)))
+    row1, a1, c1 = min(suspects)  # rows differ, so keys and values are never compared
+    row2 = min(row for row, a, c in suspects if a == a1 and c != c1)
     return Assignment(team.domain, row1), Assignment(team.domain, row2)

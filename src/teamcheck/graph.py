@@ -200,7 +200,7 @@ def treewidth_exact(graph: Graph) -> tuple[int, TreeDecomposition]:
     if n > EXACT_LIMIT:
         raise GraphError(f"graph has {n} vertices; exact treewidth is capped at {EXACT_LIMIT}")
     if n == 0:
-        return -1, TreeDecomposition((frozenset(),), frozenset())
+        return treewidth_greedy(graph)
 
     full = list(graph.adjacency)
     best = _min_fill_order(full)
@@ -222,16 +222,12 @@ def _branch(
     function, so the recursion builds no closure that refers to itself: a
     call leaves no reference cycle behind.
     """
-    if prefix_width >= best[0]:
-        return best
     seen = reached.get(remaining)
     if seen is not None and seen <= prefix_width:
         return best
     reached[remaining] = prefix_width
     if remaining & (remaining - 1) == 0:
-        width = max(prefix_width, 0) if remaining else prefix_width
-        tail = [(v, 0) for v in _bits(remaining)]
-        return (width, steps + tail) if width < best[0] else best
+        return prefix_width, steps + [(remaining.bit_length() - 1, 0)]
     candidates = _bits(remaining)
     for v in candidates:
         if not _fill(adj, adj[v]):
@@ -307,14 +303,12 @@ def validate_decomposition(graph: Graph, decomposition: TreeDecomposition) -> Va
         return ValidationResult(True)
 
     count = len(bags)
+    neighbors: dict[int, set[int]] = {i: set() for i in range(count)}
     for i, j in decomposition.tree_edges:
         if not (0 <= i < count and 0 <= j < count):
             return ValidationResult(False, f"tree edge ({i},{j}) references a missing bag")
         if i == j:
             return ValidationResult(False, f"tree edge ({i},{j}) is a self-loop")
-
-    neighbors: dict[int, set[int]] = {i: set() for i in range(count)}
-    for i, j in decomposition.tree_edges:
         neighbors[i].add(j)
         neighbors[j].add(i)
     tree = _reachable(neighbors, 0, neighbors)

@@ -416,6 +416,27 @@ def test_reduce_bad_input_exits_two(tmp_path, capsys):
     assert "found 'TRUE' (at position 8)" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_two(tmp_path):
+    # each command allocates far more than the child's 128 MiB of address
+    # space; the limit is set in the child only, after it forks
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    cnf = write(tmp_path / "huge.cnf", "p cnf 99999999999 1\n1 2 3 0\n")
+    huge = "99999999999999999999"
+    for argv in (
+        ("reduce", "3sat", cnf, str(tmp_path / "r")),
+        ("bench", "--family", "team-size", "--range", f"{huge}..{huge}", "--budget", "5"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "teamcheck.cli", *argv], capture_output=True, encoding="utf-8",
+            env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=cap_address_space,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 # --- output files ----------------------------------------------------------------
 #
 # `reduce` and `bench --out` write over an existing file's bytes instead of

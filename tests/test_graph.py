@@ -544,6 +544,14 @@ ONE_EMPTY_BAG = TreeDecomposition([frozenset()], [])
             id="self-loop-edge",
         ),
         pytest.param(
+            # also not a tree: the edge faults are reported first
+            lambda: validate_decomposition(
+                PATH_AB, TreeDecomposition([{"a", "b"}, {"a"}], [(0, 1), (1, 1)])
+            ),
+            ValidationResult(False, "tree edge (1,1) is a self-loop"),
+            id="self-loop-beside-a-valid-edge-in-no-tree",
+        ),
+        pytest.param(
             lambda: decomposition_from_text("bag 0: a\nbag 0: b\n"),
             (GraphError, "line 2: duplicate bag 0"),
             id="duplicate-bag",

@@ -1,4 +1,5 @@
-"""The value classes: construction, equality, hashing, immutability and repr.
+"""The value classes: construction, equality, hashing, immutability and repr;
+and the copy and pickle of the error types.
 
 Every exported syntax tree node, `Team`, `Assignment`, `CheckOutcome`, the
 graph records, the CNF record and the command line's parameter
@@ -19,6 +20,7 @@ from teamcheck import (
     CNF,
     And,
     Assignment,
+    BudgetExceededError,
     CheckOutcome,
     CNFError,
     Const,
@@ -26,12 +28,15 @@ from teamcheck import (
     Engine,
     Equality,
     Exists,
+    FormulaSyntaxError,
     Forall,
     Func,
     Graph,
+    GraphError,
     Or,
     RelAtom,
     Structure,
+    StructureError,
     SyntacticParams,
     Team,
     TeamError,
@@ -224,6 +229,17 @@ def test_values_copy_and_pickle():
     for value in _one_of_each():
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
+
+
+def test_errors_copy_and_pickle():
+    errors = [
+        BudgetExceededError(5), CNFError("bad"), FormulaSyntaxError("bad", 3), GraphError("bad"),
+        StructureError("bad"), TeamError("bad"),
+    ]
+    for error in errors:
+        for twin in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+            assert (type(twin), str(twin), vars(twin)) == (type(error), str(error), vars(error))
+    assert vars(errors[0]) == {"budget": 5, "expansions": 6}
 
 
 IMPORT_PROBE = """
