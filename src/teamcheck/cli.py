@@ -118,8 +118,11 @@ def build_report(structure: Structure, team: Team, formula: Formula) -> Paramete
 
 
 def _read(path: str) -> str:
-    """An input file as UTF-8 text, without a leading byte-order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """An input file as UTF-8 text, without a leading byte-order mark, with
+    CR LF and CR line ends read as LF.  A read error names `path` as given,
+    which a `Path` would not: it rewrites `./`, `//` and the empty string."""
+    with open(path, encoding="utf-8-sig") as file:
+        return file.read()
 
 
 def _write(path: str | Path, text: str) -> None:

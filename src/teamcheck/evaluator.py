@@ -73,7 +73,6 @@ from .syntax import (
     Var,
     atom_terms,
     free_variables,
-    has_dependence_atoms,
     subformulas,
     subterms,
 )
@@ -190,15 +189,19 @@ def _check_symbol(kind: str, arities: Mapping[str, int], symbol: RelAtom | Func)
         raise ValueError(f"{kind} {symbol.name!r} used with wrong arity")
 
 
-def _validate(structure: Structure, team: Team, formula: Formula) -> None:
-    """Check the formula against the team and the structure."""
+def _validate(structure: Structure, team: Team, formula: Formula) -> bool:
+    """Check the formula against the team and the structure, and return
+    whether the formula has a dependence atom, which the same walk sees."""
     missing = free_variables(formula) - set(team.domain)
     if missing:
         raise ValueError(f"team domain is missing free variables {sorted(missing)}")
     vocab = structure.vocabulary()
+    has_dep = False
     for f in subformulas(formula):  # atoms left to right: the leftmost error wins
         if isinstance(f, RelAtom):
             _check_symbol("relation", vocab.relations, f)
+        elif isinstance(f, DepAtom):
+            has_dep = True
         for term in atom_terms(f):
             for t in subterms(term):  # preorder: a function before its arguments
                 if isinstance(t, Const):
@@ -206,6 +209,7 @@ def _validate(structure: Structure, team: Team, formula: Formula) -> None:
                         raise ValueError(f"constant {t.name!r} is not interpreted")
                 elif isinstance(t, Func):
                     _check_symbol("function", vocab.functions, t)
+    return has_dep
 
 
 # --- naive engine ------------------------------------------------------------
@@ -602,8 +606,7 @@ def run_check(
     be interpreted by the structure.
     """
     engine = Engine(engine)  # a member, or its value: "naive", "optimized", ...
-    _validate(structure, team, formula)
-    has_dep = has_dependence_atoms(formula)
+    has_dep = _validate(structure, team, formula)
     # `auto` evaluates classically only dependence-free formulas (constancy
     # atoms still need a team engine)
     if engine is Engine.AUTO:

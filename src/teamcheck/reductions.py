@@ -133,6 +133,7 @@ def sat_brute(cnf: CNF) -> bool:
 # --- 3-SAT reduction ----------------------------------------------------------
 
 FIXED_3SAT_FORMULA = "=(x;y) | =(u;v) | =(u;v)"
+_3SAT_TARGET = parse_formula(FIXED_3SAT_FORMULA)
 _3SAT_DOMAIN = ("x", "y", "u", "v")
 
 
@@ -145,7 +146,9 @@ def reduce_3sat(cnf: CNF) -> tuple[Structure, Team, Formula]:
 
     The universe holds one element per CNF variable plus the numerals
     0..max(m,2), so that sign, clause-index, and position values always
-    exist; for two or more clauses its size is num_vars + m + 1.
+    exist; for two or more clauses its size is num_vars + m + 1.  The
+    formula is `FIXED_3SAT_FORMULA`, parsed once when the module loads:
+    every call returns that same immutable value.
     """
     m = len(cnf.clauses)
     universe = [_variable_element(j) for j in range(1, cnf.num_vars + 1)]
@@ -163,7 +166,7 @@ def reduce_3sat(cnf: CNF) -> tuple[Structure, Team, Formula]:
                 )
             )
     team = Team.from_named_rows(_3SAT_DOMAIN, rows, structure)
-    return structure, team, parse_formula(FIXED_3SAT_FORMULA)
+    return structure, team, _3SAT_TARGET
 
 
 def extract_valuation(

@@ -143,6 +143,56 @@ def test_input_errors_exit_two(tmp_path, capsys, role, content, message):
         assert message in captured.err
 
 
+@pytest.mark.parametrize("given", ["./nope//t", ""], ids=["dot-and-double-slash", "empty"])
+def test_read_errors_name_the_path_as_given(tmp_path, monkeypatch, capsys, given):
+    # a pathlib.Path would report 'nope/t', and read '' as the directory '.'
+    monkeypatch.chdir(tmp_path)
+    team = write(tmp_path / "team", "x\na\n")
+    formula = write(tmp_path / "formula", "x = x\n")
+    for argv in (
+        ("check", given, team, formula),
+        ("params", given, team, formula),
+        ("reduce", "3sat", given, "out"),
+        ("reduce", "pdl", given, "out"),
+    ):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {given!r}\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_and_byte_order_mark_read_like_plain_lf(tmp_path, capsys, newline):
+    texts = {
+        "structure": (DATA / "flights.structure").read_text(encoding="utf-8"),
+        "team": (DATA / "flights.team").read_text(encoding="utf-8"),
+        "sat": "=(Flight,Date,Time;Destination,Gate)\n",
+        "unsat": "=(Destination,Gate;Time)\n",
+        # the error's position counts one character per line end
+        "bad": "=(Flight;Gate) &\n=(Gate;Date) =(Date;Time)\n",
+    }
+
+    def outputs(tag: str, encode) -> list:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.{tag}"
+            paths[name].write_bytes(encode(text))
+        files = [str(paths[name]) for name in ("structure", "team")]
+        seen = []
+        for command, formula in (("check", "sat"), ("check", "unsat"), ("params", "sat"),
+                                 ("check", "bad"), ("params", "bad")):
+            rc = run_cli(command, *files, str(paths[formula]))
+            seen.append((rc, capsys.readouterr()))
+        return seen
+
+    expected = outputs("lf", str.encode)
+    assert [rc for rc, _ in expected] == [0, 1, 0, 2, 2]
+    assert "witness_row1=" in expected[1][1].out
+    assert "(at position 30)" in expected[3][1].err
+    bom = b"\xef\xbb\xbf"
+    assert outputs("bom", lambda text: bom + text.replace("\n", newline).encode()) == expected
+
+
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
     bom = b"\xef\xbb\xbf"
     plain = {
@@ -366,6 +416,16 @@ def test_reduce_single_clause_team_file(tmp_path, capsys):
     }
     formula = Path(f"{prefix}.formula").read_text(encoding="utf-8")
     assert formula.strip() == "=(x;y) | =(u;v) | =(u;v)"
+
+
+def test_reduce_prints_and_writes_normalized_output_paths(tmp_path, capsys):
+    # the outputs are pathlib paths, which drop the './' and the '//'
+    dimacs = write(tmp_path / "one.cnf", "p cnf 3 1\n1 -2 -3 0\n")
+    (tmp_path / "sub").mkdir()
+    assert run_cli("reduce", "3sat", dimacs, f"{tmp_path}/./sub//inst") == 0
+    outputs = [f"{tmp_path}/sub/inst{suffix}" for suffix in (".structure", ".team", ".formula")]
+    assert capsys.readouterr().out == "".join(path + "\n" for path in outputs)
+    assert sorted(map(str, (tmp_path / "sub").iterdir())) == sorted(outputs)
 
 
 def test_reduce_then_check_round_trip(tmp_path, capsys):

@@ -37,6 +37,7 @@ from teamcheck import (
     sat_brute,
     treewidth_exact,
 )
+from teamcheck.reductions import FIXED_3SAT_FORMULA
 
 from brute import dpll
 from conftest import cyclic_garbage, outcome
@@ -118,6 +119,14 @@ def test_reduce_3sat_single_clause_rows():
         ("p3", "0", "1", "2"),
     }
     assert pretty(formula) == "=(x;y) | =(u;v) | =(u;v)"
+
+
+def test_reduce_3sat_returns_one_shared_target_formula():
+    first = reduce_3sat(CNF(1, [(1, 1, 1)]))[2]
+    second = reduce_3sat(CNF(3, [(1, -2, 3), (-1, 2, -3)]))[2]
+    assert first is second
+    assert first == parse_formula(FIXED_3SAT_FORMULA)
+    assert pretty(first) == FIXED_3SAT_FORMULA
 
 
 def test_reduce_3sat_counts():
